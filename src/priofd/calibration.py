@@ -33,7 +33,7 @@ import numpy as np
 
 from .dynamics import AgentModel
 from .errors import CalibrationError, ConfigError
-from .fd_dynamic import ThresholdTable, partition_rounds
+from .fd_dynamic import ThresholdTable, window_periods
 from .fd_static import window_sums
 from .priority import QUANT_MAX, SCALE_HEADROOM_TARGET
 from .simulate import run_single
@@ -97,36 +97,24 @@ class SampleBank:
     def add_trace(self, gamma: np.ndarray, priorities: np.ndarray,
                   start_k: int, run: int = -1) -> None:
         """Collect every window sum and period sum at rounds >= start_k."""
-        rounds, n_agents = gamma.shape
+        n_agents = gamma.shape[1]
         d, b = self.d, self.b
         start_k = max(start_k, d - 1)
         top = self.sfd_hist.shape[0]
-        idx = np.arange(rounds)
-        flat: list[int] = []
+        flat = []
         for i in range(n_agents):
             sums = window_sums(priorities[:, i], d)
             post = sums[start_k - (d - 1):]
             self.sfd_hist += np.bincount(post, minlength=top)
-            g = gamma[:, i]
-            last_comm = np.maximum.accumulate(np.where(g, idx, -1))
-            cq = np.concatenate(([0], np.cumsum(priorities[:, i], dtype=np.int64)))
-            for k in range(start_k, rounds):
-                ws = k - d + 1
-                if ws == 0:
-                    prev = None
-                else:
-                    lc = int(last_comm[ws - 1])
-                    prev = lc if lc >= max(0, ws - (b + 1)) else None
-                for p in partition_rounds(g[ws:k + 1], ws, prev, b):
-                    if p.T2 > b:
-                        continue
-                    s = int(cq[p.end + 1] - cq[p.start])
-                    flat.append((((p.T1 - 1) * b + (p.T2 - 1)) * 2
-                                 + int(p.is_last)) * top + s)
-                    if self.audit:
-                        self.audit_log.append((run, k, i + 1, p.T1, p.T2,
-                                               int(p.is_last), s))
-        np.add.at(self.dfd_hist.reshape(-1), np.asarray(flat, dtype=np.int64), 1)
+            rows = window_periods(gamma[:, i], priorities[:, i], d, b, start_k)
+            tab = rows[2] <= b
+            k, t1, t2, _, a, s = (col[tab] for col in rows)
+            flat.append((((t1 - 1) * b + (t2 - 1)) * 2 + a) * top + s)
+            if self.audit:
+                cols = (c.tolist() for c in (t1, t2, a, s))
+                self.audit_log.extend((run, kk, i + 1, *cell)
+                                      for kk, *cell in zip(k.tolist(), *cols))
+        np.add.at(self.dfd_hist.reshape(-1), np.concatenate(flat), 1)
 
 
 def nearest_rank(hist: np.ndarray, level: float) -> float:

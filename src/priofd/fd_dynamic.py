@@ -14,6 +14,11 @@ Long silences carry no evidence of misbehavior: entries with T2 > b are
 when no communication is found within b+1 rounds before the window (or
 since the run start), which forces its T2 beyond b.
 
+The online partitioner (partition_window) walks one window of a
+ScheduleHistory per round for dfd_evaluate. The batch kernel window_periods
+lays out every period of every window of a recorded run as flat arrays for
+calibration (SampleBank.add_trace) and replay (dfd_verdicts).
+
 Table file format "PFDT" v1 (little endian):
 
     magic 'PFDT' | u32 version |
@@ -89,6 +94,35 @@ def partition_window(history: ScheduleHistory, k: int, d: int, b: int) -> list[P
     ws = k - d + 1
     last = history.last_comm_in(ws - (b + 1), ws - 1)
     return partition_rounds(gam, ws, last, b)
+
+
+def window_periods(gamma: np.ndarray, q: np.ndarray, d: int, b: int,
+                   start_k: int) -> tuple[np.ndarray, ...]:
+    """Every period of every window [k-d+1, k] with k >= start_k of one
+    agent's full run, as flat int64 arrays (k, T1, T2, H, a, sum). Rows are
+    ordered by k, then by period index within the window."""
+    g = np.asarray(gamma, dtype=bool)
+    ks = np.arange(max(start_k, d - 1), g.shape[0])
+    ws = ks - d + 1
+    comms = np.flatnonzero(g)
+    pad = np.append(comms, 0)                 # lo + j may run one past the end
+    lo = np.searchsorted(comms, ws)
+    n_comm = np.searchsorted(comms, ks, side="right") - lo
+    h_count = n_comm + ~g[ks]                 # trailing silent period
+    first = np.cumsum(h_count) - h_count      # row of each window's period 1
+    w = np.repeat(np.arange(ks.size), h_count)
+    j = np.arange(w.size) - first[w]          # 0-based period index
+    end = np.where(j < n_comm[w], pad[lo[w] + j], ks[w])
+    start = np.empty_like(end)
+    start[1:] = end[:-1] + 1
+    start[first] = ws
+    # the first period counts from the last communication before the window,
+    # capped at b+1; every later period starts right after one
+    t1 = np.ones_like(end)
+    t1[first] = np.where(lo > 0, np.minimum(ws - pad[lo - 1], b + 1), b + 1)
+    cq = np.concatenate(([0], np.cumsum(q, dtype=np.int64)))
+    return (ks[w], t1, t1 + end - start, h_count[w],
+            (j == h_count[w] - 1).astype(np.int64), cq[end + 1] - cq[start])
 
 
 @dataclass
@@ -188,32 +222,9 @@ def dfd_verdicts(gamma: np.ndarray, priorities: np.ndarray,
     0..T-1 from the recorded schedule and priorities. Rounds before the
     first full window are NoFault. Identical to dfd_evaluate round by
     round."""
-    gamma = np.asarray(gamma, dtype=bool)
-    q = np.asarray(priorities, dtype=np.int64)
-    rounds = gamma.shape[0]
-    d, b = table.d, table.b
-    out = np.zeros(rounds, dtype=bool)
-    if rounds < d:
-        return out
-    # last_comm[r] = most recent round <= r with gamma=1, -1 if none
-    idx = np.arange(rounds)
-    last_comm = np.maximum.accumulate(np.where(gamma, idx, -1))
-    cq = np.concatenate(([0], np.cumsum(q)))
-    entries = table.entries
-    for k in range(d - 1, rounds):
-        ws = k - d + 1
-        if ws == 0:
-            prev = None
-        else:
-            lc = int(last_comm[ws - 1])
-            prev = lc if lc >= max(0, ws - (b + 1)) else None
-        periods = partition_rounds(gamma[ws:k + 1], ws, prev, b)
-        h_count = len(periods)
-        for p in periods:
-            if p.T2 > b:
-                continue
-            if cq[p.end + 1] - cq[p.start] > entries[p.T1 - 1, p.T2 - 1,
-                                                     h_count - 1, int(p.is_last)]:
-                out[k] = True
-                break
+    out = np.zeros(len(gamma), dtype=bool)
+    k, t1, t2, h, a, s = window_periods(gamma, priorities, table.d, table.b, 0)
+    tab = t2 <= table.b
+    kappa = table.entries[t1[tab] - 1, t2[tab] - 1, h[tab] - 1, a[tab]]
+    out[k[tab][s[tab] > kappa]] = True
     return out

@@ -105,7 +105,6 @@ class RoundOutcome:
     k: int
     priorities: np.ndarray          # quantized, indexed by agent id - 1
     senders: tuple[int, ...]        # ids with gamma(k) = 1
-    delivered: dict[int, np.ndarray]  # sender id -> measurement x_i(k)
 
 
 @dataclass
@@ -119,8 +118,7 @@ class WorldState:
     """Single-owner state of one simulation run (advanced sequentially)."""
 
     def __init__(self, models: Sequence[AgentModel], m: int, scale: float,
-                 rounds: int, seed: int, run: int, loss_prob: float = 0.0,
-                 retention: int | None = None):
+                 rounds: int, seed: int, run: int, loss_prob: float = 0.0):
         ids = [mod.id for mod in models]
         if ids != list(range(1, len(models) + 1)):
             raise ConfigError(f"agent ids must be 1..N in order, got {ids}")
@@ -173,10 +171,6 @@ class WorldState:
         self._seed, self._run = seed, run
 
         self.pipeline: deque[tuple[int, ...]] = deque([(), ()])
-        # online detectors need [k-d+1-b, k]; default keeps the whole run
-        retention = rounds + 1 if retention is None else retention
-        self.history = {mod.id: ScheduleHistory(mod.id, retention)
-                        for mod in models}
 
     def disturbance_stream(self, agent: int) -> np.random.Generator:
         return noise_stream(self._seed, self._run, agent, DISTURBANCE_NOISE)
@@ -219,8 +213,6 @@ def run_round(world: WorldState, m: int | None = None,
     gamma = np.zeros(world.N, dtype=bool)
     for i in senders:
         gamma[i - 1] = True
-    for mod in world.models:
-        world.history[mod.id].append(gamma[mod.id - 1])
 
     # controls: every agent from its true state, extrapolations from the
     # shared estimate; the coupling term is common to both
@@ -253,6 +245,4 @@ def run_round(world: WorldState, m: int | None = None,
     world.Xhat = xhat_next
     world.E = e_next
     world.k = k + 1
-
-    delivered = {i: X[i - 1].copy() for i in senders}
-    return RoundOutcome(k, q.copy(), senders, delivered)
+    return RoundOutcome(k, q.copy(), senders)

@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 brute_partition re-derives the detection-window partition by literal
-scanning, sharing no code with the production partitioner.
+scanning, sharing no code with the production partitioners;
+brute_window_periods applies it to every window of a run.
 
 The "toy" classes build a fully enumerable two-agent process (4-valued
 priorities, one slot, highest priority sends, ties to agent 1) and compute,
@@ -47,6 +48,18 @@ def brute_partition(bits, k, d, b):
         out.append({"start": s, "end": e, "T1": t1, "T2": t1 + (e - s),
                     "last": idx == len(spans) - 1})
     return out
+
+
+def brute_window_periods(bits, q, d, b, start_k):
+    """(k, T1, T2, H, a, sum) for every period of every window ending at
+    k >= max(start_k, d-1), from brute_partition and literal sums."""
+    rows = []
+    for k in range(max(start_k, d - 1), len(bits)):
+        periods = brute_partition(bits, k, d, b)
+        for p in periods:
+            rows.append((k, p["T1"], p["T2"], len(periods), int(p["last"]),
+                         sum(int(v) for v in q[p["start"]:p["end"] + 1])))
+    return rows
 
 
 class ToyLaw:

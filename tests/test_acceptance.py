@@ -25,6 +25,8 @@ from oracles import ExactToy, brute_partition
 
 RUNS = 2000
 
+pytestmark = pytest.mark.acceptance
+
 
 def check(num, desc, ok, detail):
     print(f"criterion {num:02d} {'PASS' if ok else 'FAIL'}: {desc} ({detail})")

@@ -1,7 +1,9 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from priofd.calibration import (CalibrationConfig, SampleBank, calibrate_dfd,
                                 calibrate_sfd, dfd_entries,
@@ -11,7 +13,7 @@ from priofd.dynamics import AgentModel
 from priofd.errors import CalibrationError, ConfigError
 from priofd.priority import quantize
 
-from oracles import ExactToy, ToyLaw
+from oracles import ExactToy, ToyLaw, brute_window_periods
 
 
 def hist_of(samples, top=2551):
@@ -84,6 +86,49 @@ class TestSampleBank:
         # capped first periods (T2 > b) are not collected
         assert {(e[3], e[4], e[5]) for e in bank.audit_log} == \
             {(1, 1, 1), (1, 2, 1)}
+
+
+def brute_bank(gamma, q, d, b, start_k, run):
+    """Period samples and audit entries of one trace from the brute-force
+    partitioner: ({(T1, T2, a, sum): count}, [(run, k, agent, T1, T2, a,
+    sum)])."""
+    log = []
+    for i in range(gamma.shape[1]):
+        for k, t1, t2, _, a, s in brute_window_periods(
+                gamma[:, i].tolist(), q[:, i], d, b, start_k):
+            if t2 <= b:
+                log.append((run, k, i + 1, t1, t2, a, s))
+    return Counter(e[3:] for e in log), log
+
+
+def assert_bank_matches_brute(gamma, q, d, b, start_k, run):
+    bank = SampleBank(d, b, audit=True)
+    bank.add_trace(gamma, q, start_k, run)
+    want_hist, want_log = brute_bank(gamma, q, d, b, max(start_k, d - 1), run)
+    cells = np.nonzero(bank.dfd_hist)
+    got_hist = {(t1 + 1, t2 + 1, a, s): n for t1, t2, a, s, n in zip(
+        *(c.tolist() for c in cells), bank.dfd_hist[cells].tolist())}
+    assert got_hist == dict(want_hist)
+    assert bank.audit_log == want_log
+    assert all(type(v) is int for e in bank.audit_log for v in e)
+
+
+class TestAddTraceOracle:
+    def test_desk_runs(self, desk_cfg, fault_free_traces):
+        for run, trace in enumerate(fault_free_traces[:5]):
+            assert_bank_matches_brute(trace.gamma, trace.priorities,
+                                      desk_cfg.d, desk_cfg.b,
+                                      desk_cfg.warmup_discard, run)
+
+    @given(d=st.integers(1, 12), b=st.integers(1, 15),
+           rounds=st.integers(1, 50), density=st.floats(0.0, 1.0),
+           start_k=st.integers(0, 50), seed=st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_random_schedules(self, d, b, rounds, density, start_k, seed):
+        rng = np.random.default_rng(seed)
+        gamma = rng.random((rounds, 3)) < density
+        q = rng.integers(0, 256, size=(rounds, 3)).astype(np.int16)
+        assert_bank_matches_brute(gamma, q, d, b, start_k, seed)
 
 
 class TestCalibrateSfd:

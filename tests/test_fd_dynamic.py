@@ -2,14 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from priofd.errors import ConfigError
 from priofd.fd_dynamic import (Period, ThresholdTable, dfd_evaluate,
-                               dfd_verdicts, lookup, partition_window)
+                               dfd_verdicts, lookup, partition_window,
+                               window_periods)
 from priofd.network import ScheduleHistory
 
-from oracles import ExactToy, brute_partition
+from oracles import ExactToy, brute_partition, brute_window_periods
 
 
 def history_from(bits):
@@ -88,6 +89,27 @@ class TestPartition:
     def test_invalid_period_rejected(self):
         with pytest.raises(AssertionError):
             Period(1, 0, 3, T1=2, T2=1, is_last=True)
+
+
+class TestWindowPeriods:
+    @given(bits=st.lists(st.booleans(), max_size=40),
+           d=st.integers(1, 12), b=st.integers(1, 15),
+           start_k=st.integers(0, 45), seed=st.integers(0, 2**16))
+    @settings(max_examples=400, deadline=None)
+    @example(bits=[True, False, True], d=5, b=3, start_k=0, seed=0)  # T < d
+    @example(bits=[False, True] * 6, d=3, b=4, start_k=12, seed=1)  # start_k >= T
+    @example(bits=[False] * 30, d=6, b=4, start_k=0, seed=2)        # all silent
+    @example(bits=[True] * 30, d=6, b=2, start_k=0, seed=3)         # all sending
+    @example(bits=[True, False, False, True, False], d=5, b=9,
+             start_k=0, seed=4)                                     # ws = 0 only
+    @example(bits=[False, True, False, False, False, True, False], d=3, b=1,
+             start_k=6, seed=5)                   # last comm too old: T1 = b+1
+    def test_matches_brute_partition(self, bits, d, b, start_k, seed):
+        q = np.random.default_rng(seed).integers(0, 256, size=len(bits))
+        got = window_periods(np.array(bits, dtype=bool), q, d, b, start_k)
+        assert all(col.dtype == np.int64 for col in got)
+        rows = list(zip(*(col.tolist() for col in got)))
+        assert rows == brute_window_periods(bits, q, d, b, start_k)
 
 
 class TestThresholdTable:
@@ -204,7 +226,29 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             dfd_evaluate(history_from([0] * 8), [1, 2, 3], table, k=7)
 
-    def test_offline_matches_online(self, rng, small_table):
+    @given(d=st.integers(1, 12), b=st.integers(1, 15),
+           density=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_offline_matches_online(self, d, b, density, seed):
+        rng = np.random.default_rng(seed)
+        rounds = 60
+        # thresholds near the typical period sum so both verdicts occur,
+        # with some cells never alarming
+        length = np.arange(b)[None, :] - np.arange(b)[:, None] + 1
+        kappa = length[:, :, None, None] * rng.uniform(60, 200, (b, b, d, 2))
+        kappa[rng.random(kappa.shape) < 0.2] = np.inf
+        table = flat_table(d, b, 0.0)
+        valid = length >= 1
+        table.entries[valid] = kappa[valid]
+        bits = rng.random(rounds) < density
+        q = rng.integers(0, 256, size=rounds)
+        offline = dfd_verdicts(bits, q, table)
+        hist = history_from(bits)
+        online = [k >= d - 1 and dfd_evaluate(hist, q[k - d + 1:k + 1], table, k)
+                  for k in range(rounds)]
+        assert offline.tolist() == online
+
+    def test_offline_matches_online_desk_table(self, rng, small_table):
         for _ in range(25):
             rounds = 60
             bits = rng.random(rounds) < 0.33

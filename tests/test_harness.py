@@ -32,6 +32,19 @@ def test_incompatible_table_refused(desk_cfg, small_table):
         run_batch(desk_cfg, None, other, runs=1, seed=0)
 
 
+def test_event_after_last_round_refused(desk_cfg, small_table):
+    with pytest.raises(ConfigError, match="k=400"):
+        run_batch(desk_cfg, actuator_failure((2,), 400), small_table,
+                  runs=1, seed=0)
+
+
+def test_event_agent_outside_fleet_refused(desk_cfg, small_table):
+    for agent in (0, desk_cfg.n_agents + 1):
+        with pytest.raises(ConfigError, match="agents 1..6"):
+            run_batch(desk_cfg, actuator_failure((2, agent), 100), small_table,
+                      runs=1, seed=0)
+
+
 def test_monitored_defaults_to_first_faulty(small_batch):
     report, _ = small_batch
     assert report.monitored == 2
