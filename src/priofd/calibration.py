@@ -101,7 +101,7 @@ class SampleBank:
         d, b = self.d, self.b
         start_k = max(start_k, d - 1)
         top = self.sfd_hist.shape[0]
-        flat = []
+        flat: list[np.ndarray] = []
         for i in range(n_agents):
             sums = window_sums(priorities[:, i], d)
             post = sums[start_k - (d - 1):]

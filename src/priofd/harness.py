@@ -101,9 +101,9 @@ def run_batch(cfg: SystemConfig, scenario: Scenario | None,
                            cfg.n_agents, scale)
     if runs < 1:
         raise ConfigError("runs must be >= 1")
-    scenario.check_fits(cfg.rounds, cfg.n_agents)
     rounds = cfg.rounds
     n_agents = cfg.n_agents
+    scenario.check_fits(rounds, n_agents)
     faulty = scenario.faulty_agents()
     if monitored is None:
         monitored = faulty[0] if faulty else 1

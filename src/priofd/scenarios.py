@@ -81,10 +81,12 @@ class Scenario:
     def check_fits(self, rounds: int, n_agents: int) -> None:
         """Refuse events that a run of this length and fleet never applies."""
         for ev in self.events:
-            if not (0 <= ev.k < rounds and all(1 <= a <= n_agents for a in ev.agents)):
+            if not (0 <= ev.k < rounds
+                    and all(1 <= a <= n_agents for a in ev.agents)):
                 raise ConfigError(
-                    f"scenario {self.name!r}: event at k={ev.k} on agents {ev.agents} "
-                    f"falls outside rounds 0..{rounds - 1} or agents 1..{n_agents}")
+                    f"scenario {self.name!r}: event at k={ev.k} on agents "
+                    f"{ev.agents} falls outside rounds 0..{rounds - 1} or "
+                    f"agents 1..{n_agents}")
 
     def save(self, path: str | Path) -> None:
         doc = {"name": self.name, "events": [e.to_dict() for e in self.events]}

@@ -96,14 +96,16 @@ class TestWindowPeriods:
            d=st.integers(1, 12), b=st.integers(1, 15),
            start_k=st.integers(0, 45), seed=st.integers(0, 2**16))
     @settings(max_examples=400, deadline=None)
-    @example(bits=[True, False, True], d=5, b=3, start_k=0, seed=0)  # T < d
-    @example(bits=[False, True] * 6, d=3, b=4, start_k=12, seed=1)  # start_k >= T
-    @example(bits=[False] * 30, d=6, b=4, start_k=0, seed=2)        # all silent
-    @example(bits=[True] * 30, d=6, b=2, start_k=0, seed=3)         # all sending
+    # T < d; start_k >= T; all silent; all sending; only the ws = 0
+    # window; the last communication too old, so T1 = b+1
+    @example(bits=[True, False, True], d=5, b=3, start_k=0, seed=0)
+    @example(bits=[False, True] * 6, d=3, b=4, start_k=12, seed=1)
+    @example(bits=[False] * 30, d=6, b=4, start_k=0, seed=2)
+    @example(bits=[True] * 30, d=6, b=2, start_k=0, seed=3)
     @example(bits=[True, False, False, True, False], d=5, b=9,
-             start_k=0, seed=4)                                     # ws = 0 only
+             start_k=0, seed=4)
     @example(bits=[False, True, False, False, False, True, False], d=3, b=1,
-             start_k=6, seed=5)                   # last comm too old: T1 = b+1
+             start_k=6, seed=5)
     def test_matches_brute_partition(self, bits, d, b, start_k, seed):
         q = np.random.default_rng(seed).integers(0, 256, size=len(bits))
         got = window_periods(np.array(bits, dtype=bool), q, d, b, start_k)
@@ -244,7 +246,8 @@ class TestEvaluate:
         q = rng.integers(0, 256, size=rounds)
         offline = dfd_verdicts(bits, q, table)
         hist = history_from(bits)
-        online = [k >= d - 1 and dfd_evaluate(hist, q[k - d + 1:k + 1], table, k)
+        online = [k >= d - 1
+                  and dfd_evaluate(hist, q[k - d + 1:k + 1], table, k)
                   for k in range(rounds)]
         assert offline.tolist() == online
 
