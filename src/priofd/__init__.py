@@ -6,20 +6,16 @@ from .calibration import (CalibrationConfig, SampleBank, calibrate,
                           calibrate_dfd, calibrate_sfd,
                           fit_quantization_scale)
 from .config import SystemConfig, build_preset
-from .controller import ControlInput, control
-from .dynamics import AgentModel, TrueState, noise_stream, sample_noise, step_agent
+from .dynamics import AgentModel, noise_stream
 from .errors import CalibrationError, ConfigError
-from .estimator import (EstimationError, RemoteEstimate, compute_error,
-                        propagate_estimate)
 from .fd_dynamic import (Period, ThresholdTable, dfd_evaluate, dfd_verdicts,
-                         lookup, partition_window)
-from .fd_static import StaticDetector, sfd_update, sfd_verdicts
-from .harness import (AggregateReport, BenchReport, RunRecord,
-                      bench_detectors, emit_csv, parse_run_record, run_batch)
+                         partition_window)
+from .fd_static import StaticDetector, sfd_verdicts
+from .harness import (AggregateReport, RunRecord, emit_csv, parse_run_record,
+                      run_batch)
 from .network import (RoundOutcome, ScheduleHistory, WorldState, run_round,
                       select_senders)
-from .priority import Priority, compute_priority, predict_error, quantize
-from .scenarios import (Scenario, apply_events, resolve_scenario)
+from .scenarios import Scenario, apply_events, resolve_scenario
 from .simulate import RunTrace, run_single
 
 __version__ = "0.1.0"

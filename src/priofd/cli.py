@@ -1,6 +1,6 @@
 """Command line entry point.
 
-Subcommands: make-config, calibrate, run, bench, inspect-table. Any refused
+Subcommands: make-config, calibrate, run, inspect-table. Any refused
 precondition (bad config, incompatible table, too few samples) exits
 nonzero with a diagnostic on stderr.
 """
@@ -18,9 +18,8 @@ from .calibration import (CalibrationConfig, calibrate,
 from .config import PRESET_SIZES, SystemConfig, build_preset
 from .errors import CalibrationError, ConfigError
 from .fd_dynamic import ThresholdTable
-from .harness import bench_detectors, emit_csv, run_batch
+from .harness import emit_csv, run_batch
 from .scenarios import resolve_scenario
-from .simulate import run_single
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -64,12 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--band-component", type=int, default=3)
     p.add_argument("--record-runs", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
-
-    p = sub.add_parser("bench", help="detector micro-benchmarks on a "
-                       "freshly simulated trace")
-    _add_common(p)
-    p.add_argument("--table", required=True)
-    p.add_argument("--passes", type=int, default=3)
 
     p = sub.add_parser("inspect-table", help="print threshold table header "
                        "and coverage")
@@ -122,18 +115,6 @@ def cmd_run(args) -> None:
     print(f"  wrote {len(files)} files under {args.out}")
 
 
-def cmd_bench(args) -> None:
-    cfg = SystemConfig.load(args.config)
-    table = ThresholdTable.load(args.table)
-    trace = run_single(cfg.models(), cfg.bandwidth, cfg.require_scale(),
-                       cfg.rounds, seed=args.seed, run=0)
-    rep = bench_detectors(table, trace.gamma, trace.priorities,
-                          passes=args.passes)
-    print(f"{rep.updates} updates per detector")
-    print(f"  sfd mean={rep.sfd_mean_ns:8.0f} ns  p99={rep.sfd_p99_ns:8.0f} ns")
-    print(f"  dfd mean={rep.dfd_mean_ns:8.0f} ns  p99={rep.dfd_p99_ns:8.0f} ns")
-
-
 def cmd_inspect_table(args) -> None:
     table = ThresholdTable.load(args.table)
     print(f"eta={table.eta} d={table.d} b={table.b} M={table.m} "
@@ -161,7 +142,6 @@ def main(argv: list[str] | None = None) -> int:
             "make-config": cmd_make_config,
             "calibrate": cmd_calibrate,
             "run": cmd_run,
-            "bench": cmd_bench,
             "inspect-table": cmd_inspect_table,
         }[args.cmd](args)
     except (ConfigError, CalibrationError) as exc:

@@ -18,7 +18,6 @@ from .errors import ConfigError
 # purpose codes for noise_stream
 PROCESS_NOISE = 0
 DISTURBANCE_NOISE = 1
-NETWORK_EVENTS = 2
 
 
 def _check_symmetric_psd(mat: np.ndarray, name: str) -> np.ndarray:
@@ -94,48 +93,19 @@ class AgentModel:
         return self.B.shape[1]
 
 
-@dataclass
-class TrueState:
-    x: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-
-
-def step_agent(model: AgentModel, state: TrueState, u: np.ndarray,
-               noise: np.ndarray) -> TrueState:
-    """One plant step x' = A x + B u + noise; timestep advances by one."""
-    u = np.asarray(u, dtype=float)
-    noise = np.asarray(noise, dtype=float)
-    if state.x.shape != (model.n,):
-        raise ConfigError(f"state dim {state.x.shape} != {model.n}")
-    if u.shape != (model.m,):
-        raise ConfigError(f"input dim {u.shape} != {model.m}")
-    if noise.shape != (model.n,):
-        raise ConfigError(f"noise dim {noise.shape} != {model.n}")
-    return TrueState(model.A @ state.x + model.B @ u + noise, state.k + 1)
-
-
 def noise_stream(seed: int, run: int, agent: int, purpose: int) -> np.random.Generator:
     """Independent generator for one (run, agent, purpose) triple."""
     ss = np.random.SeedSequence(int(seed), spawn_key=(int(run), int(agent), int(purpose)))
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def sample_noise(model: AgentModel, rng: np.random.Generator) -> np.ndarray:
-    """One zero-mean Gaussian draw with covariance model.noise_cov."""
-    return model.noise_chol @ rng.standard_normal(model.n)
-
-
 def draw_noise_block(model: AgentModel, rng: np.random.Generator,
                      rounds: int) -> np.ndarray:
     """(rounds, n) block of i.i.d. draws.
 
-    Row t consumes the same standard normals as the t-th sample_noise call
-    on an identically seeded generator; this block form is what the
-    simulation engine injects, so recorded noise is reproducible from
-    (seed, run, agent) alone.
+    Row t is noise_chol times the t-th group of n standard normals of rng;
+    this block is what the simulation engine injects, so recorded noise is
+    reproducible from (seed, run, agent) alone.
     """
     z = rng.standard_normal((rounds, model.n))
     return z @ model.noise_chol.T

@@ -37,7 +37,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -193,20 +193,15 @@ class ThresholdTable:
                    sfd_samples, dfd_samples, entries.copy())
 
 
-def lookup(table: ThresholdTable, t1: int, t2: int, h: int, a: int | bool) -> float:
-    return table.lookup(t1, t2, h, a)
-
-
 def dfd_evaluate(history: ScheduleHistory, priorities: Sequence[int],
-                 table: ThresholdTable, k: int,
-                 partitioner: Callable[..., list[Period]] = partition_window) -> bool:
+                 table: ThresholdTable, k: int) -> bool:
     """Verdict at round k; priorities are the monitored agent's last d
     quantized values (rounds k-d+1 .. k). True = Fault."""
     d, b = table.d, table.b
     q = np.asarray(priorities, dtype=np.int64)
     if q.shape != (d,):
         raise ConfigError(f"need exactly d={d} priorities, got {q.shape}")
-    periods = partitioner(history, k, d, b)
+    periods = partition_window(history, k, d, b)
     ws = k - d + 1
     h_count = len(periods)
     for p in periods:

@@ -41,10 +41,6 @@ class StaticDetector:
         return self._sum
 
 
-def sfd_update(state: StaticDetector, g_new: int) -> bool:
-    return state.update(g_new)
-
-
 def sfd_verdicts(priorities: np.ndarray, kappa: float, d: int) -> np.ndarray:
     """Vectorized replay: verdicts for rounds 0..T-1 given the full priority
     sequence of one agent. Identical to feeding StaticDetector round by

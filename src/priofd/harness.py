@@ -1,5 +1,4 @@
-"""Experiment harness: Monte Carlo batches, aggregation, CSV artifacts,
-detector micro-benchmarks.
+"""Experiment harness: Monte Carlo batches, aggregation, CSV artifacts.
 
 All emitted files are semicolon separated with '.' decimals and start with
 a provenance comment (config hash, seed, run count, scenario), so identical
@@ -9,7 +8,6 @@ the run count and can be recomputed from emitted run records.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -20,8 +18,8 @@ import numpy as np
 
 from .config import SystemConfig
 from .errors import ConfigError
-from .fd_dynamic import ScheduleHistory, ThresholdTable, dfd_evaluate, dfd_verdicts
-from .fd_static import StaticDetector, sfd_verdicts
+from .fd_dynamic import ThresholdTable, dfd_verdicts
+from .fd_static import sfd_verdicts
 from .scenarios import Scenario, fault_free
 from .simulate import run_single
 
@@ -87,6 +85,60 @@ def _one_run(models, m, scale, rounds, seed, scenario, kappa, table,
     return trace, sfd, dfd
 
 
+class _Tally:
+    """Alarm counts, state-band sums and detection delays, accumulated run
+    by run in run order. run_batch and report_from_records both build their
+    report here, so a report recomputed from run records is bit-identical
+    to the in-process one."""
+
+    def __init__(self, cfg: SystemConfig, runs: int, rounds: int,
+                 n_agents: int, k_event: int | None, monitored: int,
+                 band_agent: int, band_component: int):
+        self.cfg, self.runs, self.k_event = cfg, runs, k_event
+        self.monitored = monitored
+        self.band_agent, self.band_component = band_agent, band_component
+        self.alarm_sfd = np.zeros((rounds, n_agents), dtype=np.int64)
+        self.alarm_dfd = np.zeros((rounds, n_agents), dtype=np.int64)
+        self.band_sum = np.zeros(rounds)
+        self.band_sq = np.zeros(rounds)
+        self.delay_sfd = np.full(runs, np.nan)
+        self.delay_dfd = np.full(runs, np.nan)
+
+    def add(self, run: int, sfd: np.ndarray, dfd: np.ndarray,
+            states: np.ndarray) -> None:
+        self.alarm_sfd += sfd
+        self.alarm_dfd += dfd
+        comp = states[:, self.band_agent - 1, self.band_component - 1]
+        self.band_sum += comp
+        self.band_sq += comp * comp
+        if self.k_event is not None:
+            for arr, out in ((sfd, self.delay_sfd), (dfd, self.delay_dfd)):
+                hits = np.flatnonzero(arr[self.k_event:, self.monitored - 1])
+                if hits.size:
+                    out[run] = hits[0]
+
+    def report(self, mean_err_sq: np.ndarray) -> AggregateReport:
+        cfg, runs = self.cfg, self.runs
+        rounds, n_agents = self.alarm_sfd.shape
+        p_sfd = self.alarm_sfd / runs
+        p_dfd = self.alarm_dfd / runs
+        pre_sfd, post_sfd = _interval_rates(p_sfd, cfg.warmup_discard,
+                                            self.k_event, cfg.d)
+        pre_dfd, post_dfd = _interval_rates(p_dfd, cfg.warmup_discard,
+                                            self.k_event, cfg.d)
+        mean_state = self.band_sum / runs
+        var = np.maximum(self.band_sq / runs - mean_state ** 2, 0.0)
+        return AggregateReport(
+            runs=runs, rounds=rounds, n_agents=n_agents,
+            monitored=self.monitored, k_event=self.k_event,
+            warmup=cfg.warmup_discard, d=cfg.d, p_sfd=p_sfd, p_dfd=p_dfd,
+            pre_sfd=pre_sfd, post_sfd=post_sfd, pre_dfd=pre_dfd,
+            post_dfd=post_dfd, delay_sfd=self.delay_sfd,
+            delay_dfd=self.delay_dfd, mean_err_sq=mean_err_sq,
+            band_agent=self.band_agent, band_component=self.band_component,
+            state_mean=mean_state, state_std=np.sqrt(var))
+
+
 def run_batch(cfg: SystemConfig, scenario: Scenario | None,
               table: ThresholdTable, runs: int, seed: int,
               monitored: int | None = None,
@@ -99,11 +151,22 @@ def run_batch(cfg: SystemConfig, scenario: Scenario | None,
     scale = cfg.require_scale()
     table.check_compatible(cfg.eta, cfg.d, cfg.b, cfg.bandwidth,
                            cfg.n_agents, scale)
+    if seed == table.seed:
+        # noise is keyed on (seed, run): these runs would replay the
+        # calibration runs and measure in-sample rates
+        raise ConfigError(
+            f"evaluation seed {seed} equals the threshold table's "
+            f"calibration seed {table.seed}; use a different seed")
     if runs < 1:
         raise ConfigError("runs must be >= 1")
     rounds = cfg.rounds
     n_agents = cfg.n_agents
     scenario.check_fits(rounds, n_agents)
+    k_event = scenario.first_event_round
+    if k_event is not None and k_event + cfg.d >= rounds:
+        raise ConfigError(
+            f"first event at k={k_event} leaves no post-event interval "
+            f"[k+d, rounds) with d={cfg.d} and rounds={rounds}")
     faulty = scenario.faulty_agents()
     if monitored is None:
         monitored = faulty[0] if faulty else 1
@@ -113,19 +176,14 @@ def run_batch(cfg: SystemConfig, scenario: Scenario | None,
         raise ConfigError("monitored/band agent outside the fleet")
     if not 1 <= band_component <= cfg.n:
         raise ConfigError(f"band component must be in 1..{cfg.n}")
-    k_event = scenario.first_event_round
 
     models = cfg.models()
     worker = partial(_one_run, models, cfg.bandwidth, scale, rounds, seed,
                      scenario, table.sfd_kappa, table, True)
 
-    alarm_sfd = np.zeros((rounds, n_agents), dtype=np.int64)
-    alarm_dfd = np.zeros((rounds, n_agents), dtype=np.int64)
+    tally = _Tally(cfg, runs, rounds, n_agents, k_event, monitored,
+                   band_agent, band_component)
     err_sq_sum = np.zeros((rounds, n_agents))
-    band_sum = np.zeros(rounds)
-    band_sq = np.zeros(rounds)
-    delay_sfd = np.full(runs, np.nan)
-    delay_dfd = np.full(runs, np.nan)
     records: list[RunRecord] = []
 
     if workers > 1:
@@ -136,17 +194,8 @@ def run_batch(cfg: SystemConfig, scenario: Scenario | None,
         results = map(worker, range(runs))
     try:
         for run, (trace, sfd, dfd) in enumerate(results):
-            alarm_sfd += sfd
-            alarm_dfd += dfd
+            tally.add(run, sfd, dfd, trace.states)
             err_sq_sum += trace.err_sq
-            comp = trace.states[:, band_agent - 1, band_component - 1]
-            band_sum += comp
-            band_sq += comp * comp
-            if k_event is not None:
-                for arr, out in ((sfd, delay_sfd), (dfd, delay_dfd)):
-                    hits = np.flatnonzero(arr[k_event:, monitored - 1])
-                    if hits.size:
-                        out[run] = hits[0]
             if run < record_runs:
                 records.append(RunRecord(run, seed, trace.gamma.copy(),
                                          trace.priorities.copy(), sfd, dfd,
@@ -155,24 +204,7 @@ def run_batch(cfg: SystemConfig, scenario: Scenario | None,
         if pool is not None:
             pool.shutdown()
 
-    p_sfd = alarm_sfd / runs
-    p_dfd = alarm_dfd / runs
-    pre_sfd, post_sfd = _interval_rates(p_sfd, cfg.warmup_discard, k_event,
-                                        cfg.d)
-    pre_dfd, post_dfd = _interval_rates(p_dfd, cfg.warmup_discard, k_event,
-                                        cfg.d)
-    mean_state = band_sum / runs
-    var = np.maximum(band_sq / runs - mean_state ** 2, 0.0)
-    report = AggregateReport(
-        runs=runs, rounds=rounds, n_agents=n_agents, monitored=monitored,
-        k_event=k_event, warmup=cfg.warmup_discard, d=cfg.d,
-        p_sfd=p_sfd, p_dfd=p_dfd,
-        pre_sfd=pre_sfd, post_sfd=post_sfd, pre_dfd=pre_dfd,
-        post_dfd=post_dfd, delay_sfd=delay_sfd, delay_dfd=delay_dfd,
-        mean_err_sq=err_sq_sum / runs, band_agent=band_agent,
-        band_component=band_component, state_mean=mean_state,
-        state_std=np.sqrt(var))
-    return report, records
+    return tally.report(err_sq_sum / runs), records
 
 
 def _interval_rates(p: np.ndarray, warmup: int, k_event: int | None,
@@ -339,88 +371,10 @@ def report_from_records(records: Sequence[RunRecord], cfg: SystemConfig,
                         band_agent: int, band_component: int = 3) -> AggregateReport:
     """Recompute the record-derived aggregate fields from emitted records
     (mean_err_sq is not part of run records and stays NaN)."""
-    runs = len(records)
     rounds, n_agents = records[0].gamma.shape
-    k_event = scenario.first_event_round
-    # accumulate in run order with the same operations as run_batch so the
-    # recomputed report is bit-identical to the in-process one
-    alarm_sfd = np.zeros((rounds, n_agents), dtype=np.int64)
-    alarm_dfd = np.zeros((rounds, n_agents), dtype=np.int64)
-    band_sum = np.zeros(rounds)
-    band_sq = np.zeros(rounds)
-    delay_sfd = np.full(runs, np.nan)
-    delay_dfd = np.full(runs, np.nan)
-    for j, rec in enumerate(records):
-        alarm_sfd += rec.sfd
-        alarm_dfd += rec.dfd
-        comp = rec.states[:, band_agent - 1, band_component - 1]
-        band_sum += comp
-        band_sq += comp * comp
-        if k_event is not None:
-            for arr, out in ((rec.sfd, delay_sfd), (rec.dfd, delay_dfd)):
-                hits = np.flatnonzero(arr[k_event:, monitored - 1])
-                if hits.size:
-                    out[j] = hits[0]
-    p_sfd = alarm_sfd / runs
-    p_dfd = alarm_dfd / runs
-    pre_s, post_s = _interval_rates(p_sfd, cfg.warmup_discard, k_event, cfg.d)
-    pre_d, post_d = _interval_rates(p_dfd, cfg.warmup_discard, k_event, cfg.d)
-    mean_state = band_sum / runs
-    var = np.maximum(band_sq / runs - mean_state ** 2, 0.0)
-    return AggregateReport(
-        runs=runs, rounds=rounds, n_agents=n_agents, monitored=monitored,
-        k_event=k_event, warmup=cfg.warmup_discard, d=cfg.d,
-        p_sfd=p_sfd, p_dfd=p_dfd, pre_sfd=pre_s, post_sfd=post_s,
-        pre_dfd=pre_d, post_dfd=post_d, delay_sfd=delay_sfd,
-        delay_dfd=delay_dfd,
-        mean_err_sq=np.full((rounds, n_agents), np.nan),
-        band_agent=band_agent, band_component=band_component,
-        state_mean=mean_state, state_std=np.sqrt(var))
-
-
-# ---------------------------------------------------------------------------
-# Detector micro-benchmarks
-
-@dataclass
-class BenchReport:
-    updates: int
-    sfd_mean_ns: float
-    sfd_p99_ns: float
-    dfd_mean_ns: float
-    dfd_p99_ns: float
-
-
-def bench_detectors(table: ThresholdTable, gamma: np.ndarray,
-                    priorities: np.ndarray, passes: int = 3) -> BenchReport:
-    """Per-update wall-clock cost of both detectors replaying a recorded
-    trace (one monitored agent per column). Absolute numbers are host
-    specific; the meaningful claim is the relative cost."""
-    rounds, n_agents = gamma.shape
-    d, b = table.d, table.b
-    sfd_t: list[int] = []
-    dfd_t: list[int] = []
-    for _ in range(passes):
-        for i in range(n_agents):
-            det = StaticDetector(i + 1, table.sfd_kappa, d)
-            g = priorities[:, i]
-            for k in range(rounds):
-                t0 = time.perf_counter_ns()
-                det.update(int(g[k]))
-                sfd_t.append(time.perf_counter_ns() - t0)
-            hist = ScheduleHistory(i + 1, rounds + 1)
-            for k in range(rounds):
-                hist.append(bool(gamma[k, i]))
-                if k < d - 1:
-                    continue
-                window = g[k - d + 1:k + 1]
-                t0 = time.perf_counter_ns()
-                dfd_evaluate(hist, window, table, k)
-                dfd_t.append(time.perf_counter_ns() - t0)
-    sfd_arr = np.array(sfd_t, dtype=float)
-    dfd_arr = np.array(dfd_t, dtype=float)
-    return BenchReport(
-        updates=sfd_arr.size,
-        sfd_mean_ns=float(sfd_arr.mean()),
-        sfd_p99_ns=float(np.percentile(sfd_arr, 99)),
-        dfd_mean_ns=float(dfd_arr.mean()),
-        dfd_p99_ns=float(np.percentile(dfd_arr, 99)))
+    tally = _Tally(cfg, len(records), rounds, n_agents,
+                   scenario.first_event_round, monitored, band_agent,
+                   band_component)
+    for run, rec in enumerate(records):
+        tally.add(run, rec.sfd, rec.dfd, rec.states)
+    return tally.report(np.full((rounds, n_agents), np.nan))

@@ -1,6 +1,6 @@
 """Round-based many-to-all protocol with priority scheduling.
 
-Timeline of one round k (all agents synchronized, lossless by default):
+Timeline of one round k (all agents synchronized, network lossless):
 
 1. every agent's quantized priority g_i(k) is collected;
 2. the winner set decided from priorities at k-2 transmits: those agents'
@@ -28,8 +28,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import (AgentModel, DISTURBANCE_NOISE, NETWORK_EVENTS,
-                       PROCESS_NOISE, draw_noise_block, noise_stream)
+from .dynamics import (AgentModel, DISTURBANCE_NOISE, PROCESS_NOISE,
+                       draw_noise_block, noise_stream)
 from .errors import ConfigError
 from .priority import quantize_batch
 
@@ -118,7 +118,7 @@ class WorldState:
     """Single-owner state of one simulation run (advanced sequentially)."""
 
     def __init__(self, models: Sequence[AgentModel], m: int, scale: float,
-                 rounds: int, seed: int, run: int, loss_prob: float = 0.0):
+                 rounds: int, seed: int, run: int):
         ids = [mod.id for mod in models]
         if ids != list(range(1, len(models) + 1)):
             raise ConfigError(f"agent ids must be 1..N in order, got {ids}")
@@ -134,7 +134,6 @@ class WorldState:
         self.M = min(m, self.N)
         self.scale = float(scale)
         self.rounds = rounds
-        self.loss_prob = float(loss_prob)
         self.k = 0
 
         self.Xhat = np.zeros((self.N, self.n))
@@ -166,8 +165,6 @@ class WorldState:
             draw_noise_block(mod, noise_stream(seed, run, mod.id, PROCESS_NOISE), rounds)
             for mod in models
         ], axis=1)  # (rounds, N, n); row k is injected in the k -> k+1 step
-        self._loss_rng = (noise_stream(seed, run, 0, NETWORK_EVENTS)
-                          if loss_prob > 0 else None)
         self._seed, self._run = seed, run
 
         self.pipeline: deque[tuple[int, ...]] = deque([(), ()])
@@ -185,8 +182,7 @@ class WorldState:
         return np.einsum("ij,ijk,ik->i", e_pred, self._W, e_pred)
 
 
-def run_round(world: WorldState, m: int | None = None,
-              select_on_raw: bool = False) -> RoundOutcome:
+def run_round(world: WorldState, select_on_raw: bool = False) -> RoundOutcome:
     """Execute round k: collect priorities, resolve the delay pipeline,
     deliver measurements, elect the senders of round k+2, advance plants,
     estimates and errors to k+1."""
@@ -194,19 +190,12 @@ def run_round(world: WorldState, m: int | None = None,
     if k >= world.rounds:
         raise ConfigError(f"run configured for {world.rounds} rounds, "
                           f"round {k} requested")
-    if m is not None:
-        world.M = min(m, world.N)
 
     X = world.Xhat + world.E
     raw = world.raw_priorities()
     q = quantize_batch(raw, world.scale)
 
-    scheduled = world.pipeline.popleft()
-    if world.loss_prob > 0 and scheduled:
-        senders = tuple(i for i in scheduled
-                        if world._loss_rng.random() >= world.loss_prob)
-    else:
-        senders = scheduled
+    senders = world.pipeline.popleft()
     winners = select_senders(raw if select_on_raw else q, world.M)
     world.pipeline.append(winners)
 

@@ -1,9 +1,10 @@
-"""Communication priorities: error prediction, quadratic measure, quantization.
+"""Communication priority quantization.
 
 Priorities computed in round k decide who transmits in round k+2, so the
-triggering scores the error predicted two rounds ahead. With the default
-identity weight the raw priority equals ||Atilde^2 e(k)||^2, the quadratic
-form of the current error under ((A+BF_ii)')^2 (A+BF_ii)^2.
+triggering scores the error predicted two rounds ahead
+(network.WorldState.raw_priorities). With the default identity weight the
+raw priority equals ||Atilde^2 e(k)||^2, the quadratic form of the current
+error under ((A+BF_ii)')^2 (A+BF_ii)^2.
 
 The 8-bit wire value is a saturating floor quantizer; the scale is a
 deployment constant fitted during calibration (99.9th percentile of
@@ -13,61 +14,17 @@ must match between config and threshold table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .dynamics import AgentModel
 from .errors import ConfigError
-from .estimator import EstimationError
 
 QUANT_MAX = 255
 SCALE_HEADROOM_TARGET = 200
 
 
-@dataclass
-class Priority:
-    agent: int
-    raw: float
-    quantized: int
-    k: int
-
-
-def predict_error(model: AgentModel, e_now: EstimationError,
-                  horizon: int = 2) -> EstimationError:
-    """Mean error prediction e_pred = Atilde^horizon e; noise terms are
-    zero-mean and drop out of the point prediction."""
-    if horizon == 2:
-        mat = model.error_pred2
-    else:
-        mat = np.linalg.matrix_power(model.closed_loop, horizon)
-    return EstimationError(e_now.owner, mat @ e_now.e, e_now.k)
-
-
-def quantize(raw: float, scale: float) -> int:
-    """min(255, floor(raw / scale)); monotone and saturating."""
-    if scale <= 0:
-        raise ConfigError(f"quantization scale must be positive, got {scale}")
-    if raw <= 0:
-        return 0
-    q = np.floor(raw / scale)
-    return int(min(q, QUANT_MAX))
-
-
-def compute_priority(model: AgentModel, e_pred: EstimationError,
-                     scale: float) -> Priority:
-    """Quadratic priority of the two-step predicted error.
-
-    raw = e_pred' W e_pred with W = model.priority_weight (identity by
-    default, making the composed measure the closed-loop quadratic form of
-    the current error).
-    """
-    e = e_pred.e
-    raw = float(e @ model.priority_weight @ e)
-    return Priority(model.id, raw, quantize(raw, scale), e_pred.k)
-
-
 def quantize_batch(raw: np.ndarray, scale: float) -> np.ndarray:
+    """Elementwise min(255, floor(raw / scale)), 0 for raw <= 0; monotone
+    and saturating."""
     if scale <= 0:
         raise ConfigError(f"quantization scale must be positive, got {scale}")
     q = np.floor(np.maximum(raw, 0.0) / scale)

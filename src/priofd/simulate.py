@@ -38,10 +38,9 @@ def run_single(models: Sequence[AgentModel], m: int, scale: float,
                keep_raw: bool = False,
                keep_states: bool = False,
                keep_errors: bool = False,
-               keep_noise: bool = False,
-               loss_prob: float = 0.0) -> RunTrace:
+               keep_noise: bool = False) -> RunTrace:
     """Simulate one run; a pure function of its arguments."""
-    world = WorldState(models, m, scale, rounds, seed, run, loss_prob=loss_prob)
+    world = WorldState(models, m, scale, rounds, seed, run)
     n_agents = world.N
     gamma = np.zeros((rounds, n_agents), dtype=bool)
     q = np.zeros((rounds, n_agents), dtype=np.int16)

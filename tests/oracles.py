@@ -1,5 +1,9 @@
 """Independent reference implementations used as test oracles.
 
+ref_control, ref_priority, ref_quantize and ref_round restate one round of
+the protocol agent by agent with plain matrix products, sharing no code
+with the batched round engine in priofd.network.
+
 brute_partition re-derives the detection-window partition by literal
 scanning, sharing no code with the production partitioners;
 brute_window_periods applies it to every window of a run.
@@ -16,10 +20,57 @@ conditional laws) and literal path-by-path enumeration; they must agree.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 from fractions import Fraction
 
+import numpy as np
+
 from priofd.fd_dynamic import partition_rounds
+
+
+def ref_control(f_self, f_cross, x_self, xhat):
+    """u_i = F_ii x_i + sum_l F_il xhat_l; f_cross maps 1-based agent ids to
+    gains and xhat[l-1] is the shared estimate of agent l."""
+    u = f_self @ x_self
+    for j, gain in f_cross.items():
+        u = u + gain @ xhat[j - 1]
+    return u
+
+
+def ref_priority(a, b, f_self, weight, e):
+    """Raw priority: the error after two silent rounds, e2 = Atilde (Atilde
+    e) with Atilde = A + B F_ii, weighted as e2' W e2."""
+    a_cl = a + b @ f_self
+    e2 = a_cl @ (a_cl @ e)
+    return float(e2 @ weight @ e2)
+
+
+def ref_quantize(raw, scale):
+    """min(255, floor(raw / scale)) in Python integers, 0 for raw <= 0."""
+    if raw <= 0:
+        return 0
+    return min(255, math.floor(raw / scale))
+
+
+def ref_round(models, xhat, x, senders, v, scale):
+    """One round for plants that match their models. xhat, x and v are
+    (N, n): shared estimates, true states and process noise at round k;
+    senders holds the 1-based ids with gamma(k) = 1. Returns the quantized
+    priorities, the shared estimates at k+1 and the true states at k+1."""
+    q, xhat_next, x_next = [], [], []
+    for i, mod in enumerate(models):
+        q.append(ref_quantize(ref_priority(mod.A, mod.B, mod.F_self,
+                                           mod.priority_weight,
+                                           x[i] - xhat[i]), scale))
+        u = ref_control(mod.F_self, mod.F_cross, x[i], xhat)
+        x_next.append(mod.A @ x[i] + mod.B @ u + v[i])
+        # a sender's measurement replaces the old estimate, predicted one
+        # step ahead with the controller run on the shared estimates
+        base = x[i] if mod.id in senders else xhat[i]
+        u_hat = ref_control(mod.F_self, mod.F_cross, base, xhat)
+        xhat_next.append(mod.A @ base + mod.B @ u_hat)
+    return q, np.array(xhat_next), np.array(x_next)
 
 
 def brute_partition(bits, k, d, b):

@@ -11,7 +11,7 @@ from priofd.calibration import (CalibrationConfig, SampleBank, calibrate_dfd,
                                 write_calibration_report)
 from priofd.dynamics import AgentModel
 from priofd.errors import CalibrationError, ConfigError
-from priofd.priority import quantize
+from priofd.priority import quantize_batch
 
 from oracles import ExactToy, ToyLaw, brute_window_periods
 
@@ -241,7 +241,7 @@ class TestScaleFit:
             pool.append(tr.raw_priorities[50:].ravel())
         p999 = np.sort(np.concatenate(pool))[
             int(np.ceil(0.999 * len(np.concatenate(pool)))) - 1]
-        assert quantize(float(p999), s1) in (199, 200)
+        assert quantize_batch(p999, s1) in (199, 200)
 
 
 def test_report_csv(tmp_path, small_table, desk_cfg, desk_models):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from priofd.dynamics import (AgentModel, TrueState, draw_noise_block,
-                             noise_stream, sample_noise, step_agent)
+from priofd.dynamics import AgentModel, draw_noise_block, noise_stream
 from priofd.errors import ConfigError
+from priofd.network import WorldState
 
 
 def simple_model(a=None, b=None, noise=None, ident=1):
@@ -15,39 +15,38 @@ def simple_model(a=None, b=None, noise=None, ident=1):
 
 
 class TestStepAgent:
-    def test_identity_dynamics(self):
-        model = simple_model()
-        out = step_agent(model, TrueState([1.0, 2.0], 0), [5.0], np.zeros(2))
-        assert np.array_equal(out.x, [1.0, 2.0])
-        assert out.k == 1
+    """The plant step x' = A x + B u + v as the round engine takes it."""
 
-    def test_superposition(self):
-        model = AgentModel(1, np.eye(2), np.eye(2), np.zeros((2, 2)))
-        out = step_agent(model, TrueState([0.0, 0.0], 3), [1.0, 0.0],
-                         [0.0, 1.0])
-        assert np.array_equal(out.x, [1.0, 1.0])
-        assert out.k == 4
+    def test_identity_dynamics(self, advance):
+        model = simple_model(b=[[1.0], [1.0]])
+        world = advance([model], [[1.0, 2.0]], [[0.0, 0.0]])
+        assert np.array_equal(world.states, [[1.0, 2.0]])
+        assert world.k == 1
 
-    def test_cartpole_equilibrium_is_fixed_point(self, desk_cfg):
-        model = desk_cfg.models()[0]
-        out = step_agent(model, TrueState(np.zeros(4), 0), np.zeros(1),
-                         np.zeros(4))
-        assert np.array_equal(out.x, np.zeros(4))
+    def test_superposition(self, advance):
+        # A = I, B = I, F = I: x' = x + u + v with u = x
+        model = AgentModel(1, np.eye(2), np.eye(2), np.eye(2))
+        world = advance([model], [[0.5, 0.0]], [[0.0, 0.0]],
+                        noise=[[[0.0, 1.0]]])
+        assert np.array_equal(world.states, [[1.0, 1.0]])
+
+    def test_cartpole_equilibrium_is_fixed_point(self, desk_models, advance):
+        world = advance(desk_models, np.zeros((6, 4)), np.zeros((6, 4)))
+        assert np.array_equal(world.states, np.zeros((6, 4)))
 
     def test_dimension_mismatch(self):
-        model = simple_model()
-        with pytest.raises(ConfigError):
-            step_agent(model, TrueState([1.0, 2.0, 3.0], 0), [0.0], np.zeros(2))
-        with pytest.raises(ConfigError):
-            step_agent(model, TrueState([1.0, 2.0], 0), [0.0], np.zeros(3))
+        # the engine stacks the fleet and refuses unequal dimensions
+        for other in (simple_model(a=np.eye(3), ident=2),
+                      simple_model(b=np.zeros((2, 2)), ident=2)):
+            with pytest.raises(ConfigError, match="dimensions"):
+                WorldState([simple_model(), other], 1, 1.0, 5, seed=0, run=0)
 
 
 class TestSampleNoise:
     def test_zero_covariance_gives_zero(self):
         model = simple_model(noise=np.zeros((2, 2)))
-        rng = noise_stream(0, 0, 1, 0)
-        for _ in range(5):
-            assert np.array_equal(sample_noise(model, rng), np.zeros(2))
+        block = draw_noise_block(model, noise_stream(0, 0, 1, 0), 5)
+        assert np.array_equal(block, np.zeros((5, 2)))
 
     def test_reference_covariance_recovered(self):
         model = AgentModel(1, np.eye(4), np.zeros((4, 1)), np.zeros((1, 4)),
@@ -59,24 +58,24 @@ class TestSampleNoise:
 
     def test_identical_seeds_identical_sequences(self):
         model = simple_model(noise=0.5 * np.eye(2))
-        rng1 = noise_stream(9, 2, 1, 0)
-        rng2 = noise_stream(9, 2, 1, 0)
-        seq1 = [sample_noise(model, rng1) for _ in range(20)]
-        seq2 = [sample_noise(model, rng2) for _ in range(20)]
-        assert all(np.array_equal(x, y) for x, y in zip(seq1, seq2))
+        seq1 = draw_noise_block(model, noise_stream(9, 2, 1, 0), 20)
+        seq2 = draw_noise_block(model, noise_stream(9, 2, 1, 0), 20)
+        assert np.array_equal(seq1, seq2)
 
     def test_streams_disjoint_across_keys(self):
         model = simple_model(noise=np.eye(2))
-        base = sample_noise(model, noise_stream(1, 0, 1, 0))
+        base = draw_noise_block(model, noise_stream(1, 0, 1, 0), 1)
         for key in ((1, 1, 1, 0), (1, 0, 2, 0), (1, 0, 1, 1), (2, 0, 1, 0)):
-            assert not np.array_equal(base, sample_noise(model, noise_stream(*key)))
+            assert not np.array_equal(
+                base, draw_noise_block(model, noise_stream(*key), 1))
 
     def test_block_draw_consumes_same_normal_stream(self):
-        # diagonal factor: block rows must equal successive scalar draws
+        # diagonal factor: block rows must equal successive single draws
         model = simple_model(noise=np.diag([4.0, 9.0]))
         block = draw_noise_block(model, noise_stream(3, 1, 1, 0), 8)
         rng = noise_stream(3, 1, 1, 0)
-        singles = np.stack([sample_noise(model, rng) for _ in range(8)])
+        singles = np.stack([model.noise_chol @ rng.standard_normal(2)
+                            for _ in range(8)])
         assert np.array_equal(block, singles)
 
     def test_non_psd_covariance_rejected(self):

@@ -1,25 +1,50 @@
-import numpy as np
-import pytest
+"""Shared remote estimates and the estimation error e = x - xhat, as the
+round engine keeps them: every agent extrapolates every other agent's state
+from the same shared estimate, and a transmitted measurement replaces the
+estimate, predicted one step ahead."""
 
-from priofd.controller import control
-from priofd.dynamics import AgentModel, TrueState, step_agent
-from priofd.estimator import (RemoteEstimate, compute_error,
-                              propagate_estimate)
+import numpy as np
+
+from priofd.dynamics import AgentModel
+from priofd.network import WorldState, run_round
+from priofd.scenarios import actuator_failure, apply_events
+
+from oracles import ref_round
+
+
+def mismatched_world(models, xhat, err):
+    """A world whose agent 1 runs on an explicitly simulated plant (zeroed
+    actuator), so its error is formed as x - xhat; zero noise."""
+    world = WorldState(models, 1, 1.0, 1, seed=0, run=0)
+    world.noise = np.zeros_like(world.noise)
+    apply_events(world, actuator_failure((1,), 0), 0)
+    world.Xhat = np.array(xhat, dtype=float)
+    world.E = np.array(err, dtype=float)
+    return world
 
 
 class TestComputeError:
     def test_zero_when_equal(self):
-        est = RemoteEstimate(1, [1.0, 2.0], 5)
-        err = compute_error(TrueState([1.0, 2.0], 5), est)
-        assert np.array_equal(err.e, [0.0, 0.0])
+        # B = 0: the failed plant still equals the model, and a state equal
+        # to its estimate stays so
+        model = AgentModel(1, np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)))
+        world = mismatched_world([model], [[1.0, 2.0]], [[0.0, 0.0]])
+        run_round(world)
+        assert np.array_equal(world.E, [[0.0, 0.0]])
+        assert np.array_equal(world.states, [[1.0, 2.0]])
 
     def test_componentwise(self):
-        err = compute_error(TrueState([1.0, 2.0], 0), RemoteEstimate(1, [0.0, 2.0], 0))
-        assert np.array_equal(err.e, [1.0, 0.0])
-
-    def test_timestep_mismatch_aborts(self):
-        with pytest.raises(AssertionError):
-            compute_error(TrueState([1.0], 3), RemoteEstimate(1, [1.0], 4))
+        m1, m2 = coupled_pair()
+        xhat = np.array([[0.3, -0.2], [0.1, 0.4]])
+        err = np.array([[0.05, 0.1], [0.0, 0.0]])
+        world = mismatched_world([m1, m2], xhat, err)
+        run_round(world)
+        # plant without input versus the estimate that assumes one
+        x_next = m1.A @ (xhat[0] + err[0])
+        _, xhat_next, _ = ref_round([m1, m2], xhat, xhat + err, (),
+                                    np.zeros((2, 2)), 1.0)
+        assert np.allclose(world.E[0], x_next - xhat_next[0], rtol=0,
+                           atol=1e-15)
 
 
 def coupled_pair():
@@ -33,53 +58,47 @@ def coupled_pair():
 
 
 class TestPropagateEstimate:
-    def test_fresh_measurement_zero_noise_resets_error(self):
-        m1, _ = coupled_pair()
-        x = TrueState([0.3, -0.2], 0)
-        others = {2: RemoteEstimate(2, [0.1, 0.4], 0)}
-        est = RemoteEstimate(1, [9.0, 9.0], 0)  # stale, should be discarded
-        u = control(m1, x, others)
-        x_next = step_agent(m1, x, u.u, np.zeros(2))
-        est_next = propagate_estimate(m1, est, others, received=x.x)
-        err = compute_error(x_next, est_next)
-        assert np.array_equal(err.e, np.zeros(2))
+    def test_fresh_measurement_zero_noise_resets_error(self, advance):
+        models = coupled_pair()
+        x = np.array([[0.3, -0.2], [0.1, 0.4]])
+        xhat = np.array([[9.0, 9.0], [0.1, 0.4]])  # stale, discarded
+        world = advance(models, xhat, x - xhat, senders=(1,))
+        assert np.array_equal(world.E[0], np.zeros(2))
+        _, xhat_next, x_next = ref_round(models, xhat, x, (1,),
+                                         np.zeros((2, 2)), 1.0)
+        assert np.allclose(world.Xhat[0], xhat_next[0], rtol=0, atol=1e-15)
+        assert np.allclose(world.states[0], x_next[0], rtol=0, atol=1e-15)
 
-    def test_extrapolation_exact_under_zero_noise(self):
-        m1, _ = coupled_pair()
-        x = TrueState([0.3, -0.2], 0)
-        est = RemoteEstimate(1, x.x.copy(), 0)  # e(k) = 0
-        others = {2: RemoteEstimate(2, [0.1, 0.4], 0)}
-        for _ in range(4):
-            u = control(m1, TrueState(x.x, x.k), others)
-            x = step_agent(m1, x, u.u, np.zeros(2))
-            est = propagate_estimate(m1, est, others, received=None)
-            others = {2: RemoteEstimate(2, others[2].x_hat, est.k)}
-            assert np.array_equal(compute_error(TrueState(x.x, est.k), est).e,
-                                  np.zeros(2))
+    def test_extrapolation_exact_under_zero_noise(self, advance):
+        models = coupled_pair()
+        x = np.array([[0.3, -0.2], [0.1, 0.4]])
+        for rounds in range(1, 5):
+            world = advance(models, x, np.zeros((2, 2)), rounds=rounds)
+            assert np.array_equal(world.E, np.zeros((2, 2)))
+            xhat = x
+            for _ in range(rounds):
+                _, xhat, _ = ref_round(models, xhat, xhat, (),
+                                       np.zeros((2, 2)), 1.0)
+            assert np.allclose(world.states, xhat, rtol=0, atol=1e-14)
 
-    def test_identity_dynamics_keeps_error(self):
+    def test_identity_dynamics_keeps_error(self, advance):
         # A=I, B=0: the closed-loop difference of the extrapolation fixes e
         model = AgentModel(1, np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)))
-        est = RemoteEstimate(1, [0.0, 0.0], 0)
-        x = TrueState([1.0, 0.0], 0)  # e(k) = (1, 0)
-        est_next = propagate_estimate(model, est, {}, received=None)
-        x_next = step_agent(model, x, np.zeros(1), np.zeros(2))
-        err = compute_error(x_next, est_next)
-        assert np.array_equal(err.e, [1.0, 0.0])
+        world = advance([model], [[0.0, 0.0]], [[1.0, 0.0]])
+        assert np.array_equal(world.E, [[1.0, 0.0]])
+        assert np.array_equal(world.Xhat, [[0.0, 0.0]])
 
-    def test_received_round_error_equals_noise(self):
+    def test_received_round_error_equals_noise(self, advance):
         # e(k+1) = v(k) after a communicated round, by substituting the
         # update rule into the plant step
-        m1, _ = coupled_pair()
-        x = TrueState([0.5, 0.1], 0)
-        others = {2: RemoteEstimate(2, [-0.2, 0.3], 0)}
-        v = np.array([0.013, -0.007])
-        u = control(m1, x, others)
-        x_next = step_agent(m1, x, u.u, v)
-        est_next = propagate_estimate(m1, RemoteEstimate(1, [1.0, 1.0], 0),
-                                      others, received=x.x)
-        err = compute_error(x_next, est_next)
-        assert np.allclose(err.e, v, rtol=0, atol=1e-15)
+        models = coupled_pair()
+        x = np.array([[0.5, 0.1], [-0.2, 0.3]])
+        xhat = np.array([[1.0, 1.0], [-0.2, 0.3]])
+        v = np.array([[0.013, -0.007], [0.0, 0.0]])
+        world = advance(models, xhat, x - xhat, senders=(1,), noise=v[None])
+        assert np.array_equal(world.E[0], v[0])
+        _, xhat_next, x_next = ref_round(models, xhat, x, (1,), v, 1.0)
+        assert np.allclose(x_next[0] - xhat_next[0], v[0], rtol=0, atol=1e-15)
 
 
 class TestEngineErrorProperties:
@@ -111,7 +130,6 @@ class TestEngineErrorProperties:
     def test_estimates_shared_single_copy(self, desk_cfg, desk_models):
         # zero noise, zero start: estimates and states stay at equilibrium,
         # which only holds if every agent consumes the same shared estimate
-        from priofd.network import WorldState, run_round
         quiet = [AgentModel(m.id, m.A, m.B, m.F_self, m.F_cross,
                             np.zeros((4, 4)), m.priority_weight)
                  for m in desk_models]

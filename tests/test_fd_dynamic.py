@@ -6,8 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from priofd.errors import ConfigError
 from priofd.fd_dynamic import (Period, ThresholdTable, dfd_evaluate,
-                               dfd_verdicts, lookup, partition_window,
-                               window_periods)
+                               dfd_verdicts, partition_window, window_periods)
 from priofd.network import ScheduleHistory
 
 from oracles import ExactToy, brute_partition, brute_window_periods
@@ -117,8 +116,8 @@ class TestWindowPeriods:
 class TestThresholdTable:
     def test_lookup_beyond_cap_is_infinite(self):
         table = flat_table(4, 6, 12.0)
-        assert lookup(table, 1, 7, 2, 0) == float("inf")
-        assert lookup(table, 7, 9, 1, 1) == float("inf")
+        assert table.lookup(1, 7, 2, 0) == float("inf")
+        assert table.lookup(7, 9, 1, 1) == float("inf")
 
     def test_fresh_single_round_always_tabulated(self):
         table = flat_table(4, 6, 12.0)
@@ -205,23 +204,24 @@ class TestEvaluate:
         assert not dfd_evaluate(hist, [255] * 5, table, k=9)
 
     def test_reduces_to_sfd_with_single_period(self):
+        # a window without communication whose previous communication is
+        # within b rounds is one period: with a flat table the dFD verdict
+        # is the sFD verdict
         d, b = 5, 40
         kappa = 321.0
         table = flat_table(d, b, kappa)
-
-        def whole_window(history, k, d_, b_):
-            return [Period(1, k - d_ + 1, k, 1, d_, True)]
-
         rng = np.random.default_rng(3)
         from priofd.fd_static import sfd_verdicts
-        bits = (rng.random(40) < 0.4).tolist()
-        q = rng.integers(0, 150, size=40)
+        bits = [r % 7 == 0 for r in range(60)]
+        q = rng.integers(0, 150, size=60)
         hist = history_from(bits)
         sfd = sfd_verdicts(q, kappa, d)
-        for k in range(d - 1, 40):
-            got = dfd_evaluate(hist, q[k - d + 1:k + 1], table, k,
-                               partitioner=whole_window)
+        single = [k for k in range(d - 1, 60) if not any(bits[k - d + 1:k + 1])]
+        for k in single:
+            assert len(partition_window(hist, k, d, b)) == 1
+            got = dfd_evaluate(hist, q[k - d + 1:k + 1], table, k)
             assert got == sfd[k]
+        assert {bool(sfd[k]) for k in single} == {False, True}
 
     def test_wrong_window_length_rejected(self):
         table = flat_table(4, 6, 1.0)

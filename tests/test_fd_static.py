@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from priofd.fd_static import StaticDetector, sfd_update, sfd_verdicts, window_sums
+from priofd.fd_static import StaticDetector, sfd_verdicts, window_sums
 
 priority_seqs = st.lists(st.integers(0, 255), min_size=1, max_size=60)
 
@@ -61,7 +61,7 @@ def test_offline_matches_online(seq):
     d = 3
     kappa = 111.0
     det = StaticDetector(1, kappa, d)
-    online = np.array([sfd_update(det, g) for g in seq])
+    online = np.array([det.update(g) for g in seq])
     offline = sfd_verdicts(np.array(seq), kappa, d)
     assert np.array_equal(online, offline)
 

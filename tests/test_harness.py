@@ -5,8 +5,8 @@ import pytest
 
 from priofd.cli import main
 from priofd.errors import ConfigError
-from priofd.harness import (RunRecord, bench_detectors, emit_csv,
-                            parse_run_record, report_from_records, run_batch,
+from priofd.harness import (RunRecord, emit_csv, parse_run_record,
+                            report_from_records, run_batch,
                             write_alarm_series, write_detection_delays,
                             write_run_record)
 from priofd.scenarios import actuator_failure, bandwidth_loss, fault_free
@@ -36,6 +36,24 @@ def test_event_after_last_round_refused(desk_cfg, small_table):
     with pytest.raises(ConfigError, match="k=400"):
         run_batch(desk_cfg, actuator_failure((2,), 400), small_table,
                   runs=1, seed=0)
+
+
+def test_event_leaving_no_post_interval_refused(desk_cfg, small_table):
+    # k + d >= rounds: the interval [k + d, rounds) the post rates average
+    # over would be empty
+    for k in (290, 295):
+        with pytest.raises(ConfigError, match=f"k={k} leaves no post-event"):
+            run_batch(desk_cfg, actuator_failure((2,), k), small_table,
+                      runs=1, seed=0)
+    report, _ = run_batch(desk_cfg, actuator_failure((2,), 289), small_table,
+                          runs=1, seed=0)
+    assert np.isfinite(report.post_sfd).all()
+
+
+def test_in_sample_seed_refused(desk_cfg, small_table):
+    seed = small_table.seed
+    with pytest.raises(ConfigError, match=f"seed {seed} equals .* seed {seed}"):
+        run_batch(desk_cfg, None, small_table, runs=1, seed=seed)
 
 
 def test_event_agent_outside_fleet_refused(desk_cfg, small_table):
@@ -110,15 +128,17 @@ def test_hand_computed_aggregate_bytes(tmp_path, desk_cfg):
     rounds, agents = 3, 2
     cfg = dataclasses.replace(desk_cfg, rounds=rounds, warmup_discard=1, d=2)
 
-    def rec(run, sfd, dfd):
+    def rec(run, sfd, dfd, band):
+        states = np.zeros((rounds, agents, 1))
+        states[:, 0, 0] = band
         return RunRecord(run, 9, np.zeros((rounds, agents), dtype=bool),
                          np.zeros((rounds, agents), dtype=np.int16),
                          np.array(sfd, dtype=bool), np.array(dfd, dtype=bool),
-                         np.zeros((rounds, agents, 1)))
+                         states)
 
     records = [
-        rec(0, [[0, 0], [1, 0], [1, 1]], [[0, 0], [0, 0], [1, 0]]),
-        rec(1, [[0, 0], [1, 1], [0, 1]], [[0, 0], [1, 0], [1, 1]]),
+        rec(0, [[0, 0], [1, 0], [1, 1]], [[0, 0], [0, 0], [1, 0]], [1, 2, 3]),
+        rec(1, [[0, 0], [1, 1], [0, 1]], [[0, 0], [1, 0], [1, 1]], [3, 2, 1]),
     ]
     report = report_from_records(records, cfg, fault_free(), monitored=1,
                                  band_agent=1, band_component=1)
@@ -130,6 +150,16 @@ def test_hand_computed_aggregate_bytes(tmp_path, desk_cfg):
               "1;1.0;0.5\n"
               "2;0.5;1.0\n")
     assert path.read_text() == expect
+    # agent 1's band component is (1, 2, 3) and (3, 2, 1) over the runs
+    assert report.state_mean.tolist() == [2.0, 2.0, 2.0]
+    assert report.state_std.tolist() == [1.0, 0.0, 1.0]
+    # first alarms of agent 1 from an event at k=1
+    event = report_from_records(
+        records, dataclasses.replace(cfg, warmup_discard=0, d=1),
+        actuator_failure((1,), 1), monitored=1, band_agent=1,
+        band_component=1)
+    assert event.delay_sfd.tolist() == [0.0, 0.0]
+    assert event.delay_dfd.tolist() == [1.0, 0.0]
 
 
 def test_empty_delay_table_is_header_only(tmp_path, desk_cfg, small_table):
@@ -137,17 +167,6 @@ def test_empty_delay_table_is_header_only(tmp_path, desk_cfg, small_table):
     path = tmp_path / "delays.csv"
     write_detection_delays(report, path, "# h\n")
     assert path.read_text() == "# h\ndelay;n_sfd;n_dfd\n"
-
-
-def test_bench_relative_cost(small_table, desk_cfg, desk_models):
-    from priofd.simulate import run_single
-    trace = run_single(desk_models, desk_cfg.bandwidth, desk_cfg.quant_scale,
-                       120, seed=60, run=0)
-    rep = bench_detectors(small_table, trace.gamma, trace.priorities,
-                          passes=1)
-    assert rep.updates == 120 * 6
-    assert 0 < rep.sfd_mean_ns < rep.dfd_mean_ns
-    assert rep.sfd_p99_ns >= rep.sfd_mean_ns
 
 
 @pytest.fixture(scope="module")
@@ -177,10 +196,21 @@ class TestCli:
                 "run_00000.csv"} <= names
 
     def test_bench_and_inspect(self, artifacts):
+        # detector cost is measured by perfbench's online workload; the
+        # CLI no longer has a bench subcommand
         root, cfg, table = artifacts
-        assert main(["bench", "--config", str(cfg), "--table", str(table),
-                     "--passes", "1"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--config", str(cfg), "--table", str(table)])
+        assert exc.value.code == 2
         assert main(["inspect-table", "--table", str(table)]) == 0
+
+    def test_in_sample_seed_is_refused(self, artifacts, tmp_path, capsys):
+        root, cfg, table = artifacts
+        assert main(["run", "--config", str(cfg), "--table", str(table),
+                     "--runs", "2", "--seed", "2",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "calibration seed 2" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_missing_config_is_refused(self, tmp_path):
         assert main(["calibrate", "--config", str(tmp_path / "nope.json"),
