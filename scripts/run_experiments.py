@@ -20,7 +20,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from priofd.calibration import CalibrationConfig, calibrate, write_calibration_report
+from priofd.calibration import calibrate, write_calibration_report
 from priofd.config import SystemConfig, build_preset
 from priofd.harness import emit_csv, run_batch
 from priofd.scenarios import actuator_failure, bandwidth_loss, fault_free
@@ -55,11 +55,7 @@ def main() -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.time()
-    cal = CalibrationConfig(eta=cfg.eta, d=cfg.d, b=cfg.b, runs=cal_runs,
-                            run_length=cfg.rounds, seed=args.seed + 1,
-                            warmup_discard=cfg.warmup_discard)
-    table, bank = calibrate(cal, cfg.models(), cfg.bandwidth,
-                            cfg.require_scale())
+    table, bank = calibrate(cfg, runs=cal_runs, seed=args.seed + 1)
     table.save(outdir / "thresholds.pfdt")
     write_calibration_report(bank, outdir / "calibration_coverage.csv")
     print(f"[{time.time() - t0:7.1f}s] calibrated on {cal_runs} runs: "

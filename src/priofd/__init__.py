@@ -3,7 +3,6 @@ detection: round simulator, static and history-adaptive detectors, Monte
 Carlo threshold calibration, experiment harness."""
 
 from .calibration import (CalibrationConfig, SampleBank, calibrate,
-                          calibrate_dfd, calibrate_sfd,
                           fit_quantization_scale)
 from .config import SystemConfig, build_preset
 from .dynamics import AgentModel, noise_stream

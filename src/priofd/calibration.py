@@ -1,5 +1,13 @@
 """Monte Carlo threshold calibration for both detectors.
 
+calibrate(cfg, runs, seed) is the one entry point. It simulates `runs`
+fault-free runs of the fleet a SystemConfig describes, with noise keyed on
+(seed, run), and bins every window sum and period sum at rounds >=
+cfg.warmup_discard into a SampleBank. Models, bandwidth, quantization
+scale, eta, d, b and the run length all come from cfg. It then refuses a
+bank too thin for the sFD percentile, takes that percentile, and tabulates
+the dFD entries (dfd_entries).
+
 Thresholds are empirical percentiles of fault-free statistics. The sFD
 threshold is the 100(1-eta)th percentile of pooled window sums; each dFD
 cell (T1, T2, a) pools the period sums with that signature and tabulates,
@@ -8,8 +16,8 @@ deterministic nearest-rank order statistic
 
     kappa = sorted_samples[ceil(level * n)]   (1-indexed)
 
-so calibration is a pure function of (config, seed). Quantized sums are
-small integers, so sample multisets are stored as exact histograms.
+so calibration is a pure function of (config, runs, seed). Quantized sums
+are small integers, so sample multisets are stored as exact histograms.
 
 Samples within a run are autocorrelated; the percentile remains a
 consistent estimator of the marginal quantile, and many independent runs
@@ -17,9 +25,10 @@ keep the effective sample size honest. Cells that fault-free operation
 never (or too rarely) produces keep kappa = +inf: a signature we cannot
 bound must never alarm.
 
-Agents are pooled only when their (dynamics, gains, weight) signatures are
-identical; calibrating a mixed fleet is refused rather than silently
-pooling different distributions.
+A SystemConfig fleet shares one (dynamics, gains, weight) signature, so
+pooling its agents mixes no distributions. fit_quantization_scale, the
+raw-priority pre-pass that gives a config its scale, takes a model list
+and refuses a mixed one.
 """
 
 from __future__ import annotations
@@ -31,11 +40,12 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import SystemConfig, check_run
 from .dynamics import AgentModel
 from .errors import CalibrationError, ConfigError
 from .fd_dynamic import ThresholdTable, window_periods
 from .fd_static import window_sums
-from .priority import QUANT_MAX, SCALE_HEADROOM_TARGET
+from .priority import QUANT_MAX, SCALE_FIT_PERCENTILE, SCALE_HEADROOM_TARGET
 from .simulate import run_single
 
 log = logging.getLogger(__name__)
@@ -46,21 +56,21 @@ MIN_CELL_SAMPLES_FACTOR = 20.0   # a cell needs 20*H/eta sums for level 1-eta/H
 
 @dataclass
 class CalibrationConfig:
-    eta: float = 0.01
-    d: int = 10
-    b: int = 40
+    """Detector and run parameters apart from a SystemConfig; dfd_entries
+    reads only eta. calibrate takes them from the SystemConfig itself."""
+    eta: float = SystemConfig.eta
+    d: int = SystemConfig.d
+    b: int = SystemConfig.b
     runs: int = 2000
-    run_length: int = 300
+    run_length: int = SystemConfig.rounds
     seed: int = 0
-    warmup_discard: int = 50
+    warmup_discard: int = SystemConfig.warmup_discard
 
     def __post_init__(self):
-        if not 0 < self.eta < 1:
-            raise ConfigError(f"eta must be in (0, 1), got {self.eta}")
-        if self.d < 1 or self.b < 1 or self.runs < 1:
-            raise ConfigError("d, b and runs must all be >= 1")
-        if self.run_length < self.warmup_discard + self.d:
-            raise ConfigError("run_length too short for warmup_discard + d")
+        check_run(self.eta, self.d, self.b, self.run_length,
+                  self.warmup_discard)
+        if self.runs < 1:
+            raise ConfigError("runs must be >= 1")
 
 
 @dataclass
@@ -127,37 +137,26 @@ def nearest_rank(hist: np.ndarray, level: float) -> float:
     return float(np.searchsorted(np.cumsum(hist), rank))
 
 
-def model_signature(model: AgentModel) -> bytes:
-    parts = [model.A, model.B, model.F_self, model.noise_cov,
-             model.priority_weight]
-    return b"".join(np.ascontiguousarray(p).tobytes() for p in parts)
-
-
 def _require_homogeneous(models: Sequence[AgentModel]) -> None:
-    sigs = {model_signature(m) for m in models}
+    sigs = {b"".join(np.ascontiguousarray(p).tobytes() for p in
+                     (m.A, m.B, m.F_self, m.noise_cov, m.priority_weight))
+            for m in models}
     if len(sigs) != 1:
         raise CalibrationError(
             "agents have distinct (dynamics, gains, weight) signatures; "
             "pooled calibration would mix different priority distributions")
 
 
-def collect_samples(cfg: CalibrationConfig, models: Sequence[AgentModel],
-                    m: int, scale: float, audit: bool = False) -> SampleBank:
-    """Fault-free Monte Carlo sampling pooled across identical agents."""
-    _require_homogeneous(models)
-    bank = SampleBank(cfg.d, cfg.b, audit=audit)
-    for run in range(cfg.runs):
-        trace = run_single(models, m, scale, cfg.run_length, cfg.seed, run)
+def calibrate(cfg: SystemConfig, runs: int,
+              seed: int) -> tuple[ThresholdTable, SampleBank]:
+    """Both detectors' thresholds from one fault-free sampling pass of
+    `runs` runs of the configured fleet, noise keyed on (seed, run)."""
+    cfg.validate()
+    models, m, scale = cfg.models(), cfg.bandwidth, cfg.require_scale()
+    bank = SampleBank(cfg.d, cfg.b)
+    for run in range(runs):
+        trace = run_single(models, m, scale, cfg.rounds, seed, run)
         bank.add_trace(trace.gamma, trace.priorities, cfg.warmup_discard, run)
-    return bank
-
-
-def calibrate_sfd(cfg: CalibrationConfig, models: Sequence[AgentModel],
-                  m: int, scale: float,
-                  bank: SampleBank | None = None) -> tuple[float, int]:
-    """sFD threshold and its pooled sample count."""
-    if bank is None:
-        bank = collect_samples(cfg, models, m, scale)
     n = bank.sfd_count
     needed = MIN_SFD_SAMPLES_FACTOR / cfg.eta
     if n < needed:
@@ -166,16 +165,20 @@ def calibrate_sfd(cfg: CalibrationConfig, models: Sequence[AgentModel],
             f"percentile needs at least {needed:.0f}")
     kappa = nearest_rank(bank.sfd_hist, 1.0 - cfg.eta)
     log.info("sFD kappa=%g from %d window sums", kappa, n)
-    return kappa, n
+    entries = dfd_entries(cfg, bank)
+    return ThresholdTable(cfg.eta, cfg.d, cfg.b, m, cfg.n_agents, scale,
+                          seed, kappa, n, bank.dfd_count, entries), bank
 
 
-def dfd_entries(cfg: CalibrationConfig, bank: SampleBank) -> np.ndarray:
-    """Lookup entries kappa(T1, T2, H, a) from a sample bank.
+def dfd_entries(cfg: SystemConfig | CalibrationConfig,
+                bank: SampleBank) -> np.ndarray:
+    """Lookup entries kappa(T1, T2, H, a) from a sample bank, at the false
+    positive target cfg.eta.
 
     T1 > T2 cells are NaN (structurally invalid, unreachable through
     lookup); insufficiently sampled cells are +inf.
     """
-    d, b, eta = cfg.d, cfg.b, cfg.eta
+    d, b, eta = bank.d, bank.b, cfg.eta
     entries = np.full((b, b, d, 2), np.inf, dtype=np.float32)
     counts = bank.cell_counts()
     sparse = 0
@@ -200,19 +203,19 @@ def dfd_entries(cfg: CalibrationConfig, bank: SampleBank) -> np.ndarray:
                         np.searchsorted(cum, rank))
     if sparse:
         log.warning("%d (cell, H) combinations undersampled, kept at +inf", sparse)
-    _log_monotonicity(entries, counts, cfg)
+    _log_monotonicity(entries)
     return entries
 
 
-def _log_monotonicity(entries: np.ndarray, counts: np.ndarray,
-                      cfg: CalibrationConfig) -> None:
+def _log_monotonicity(entries: np.ndarray) -> None:
     """Sanity scan (logged, not asserted): for fixed (T1, a, H), kappa should
     not decrease in T2 on well-sampled cells; longer silence admits larger
     error."""
+    b, _, d, _ = entries.shape
     viol = 0
-    for t1 in range(cfg.b):
+    for t1 in range(b):
         for a in (0, 1):
-            for h in range(cfg.d):
+            for h in range(d):
                 col = entries[t1, :, h, a]
                 ok = np.isfinite(col)
                 vals = col[ok]
@@ -221,24 +224,6 @@ def _log_monotonicity(entries: np.ndarray, counts: np.ndarray,
     if viol:
         log.info("monotonicity sanity: %d (T1,a,H) slices show a decreasing "
                  "kappa in T2 (statistical noise on thin cells is expected)", viol)
-
-
-def calibrate_dfd(cfg: CalibrationConfig, models: Sequence[AgentModel],
-                  m: int, scale: float,
-                  bank: SampleBank | None = None) -> ThresholdTable:
-    if bank is None:
-        bank = collect_samples(cfg, models, m, scale)
-    kappa, n_sfd = calibrate_sfd(cfg, models, m, scale, bank=bank)
-    entries = dfd_entries(cfg, bank)
-    return ThresholdTable(cfg.eta, cfg.d, cfg.b, m, len(models), scale,
-                          cfg.seed, kappa, n_sfd, bank.dfd_count, entries)
-
-
-def calibrate(cfg: CalibrationConfig, models: Sequence[AgentModel],
-              m: int, scale: float) -> tuple[ThresholdTable, SampleBank]:
-    """One sampling pass feeding both detectors' thresholds."""
-    bank = collect_samples(cfg, models, m, scale)
-    return calibrate_dfd(cfg, models, m, scale, bank=bank), bank
 
 
 def write_calibration_report(bank: SampleBank, path) -> None:
@@ -258,8 +243,7 @@ def write_calibration_report(bank: SampleBank, path) -> None:
 
 def fit_quantization_scale(models: Sequence[AgentModel], m: int, runs: int,
                            run_length: int, seed: int,
-                           warmup_discard: int = 50,
-                           percentile: float = 0.999) -> float:
+                           warmup_discard: int) -> float:
     """Deployment quantization scale from a raw-priority pre-pass.
 
     Scheduling normally consumes quantized priorities, which requires the
@@ -275,12 +259,13 @@ def fit_quantization_scale(models: Sequence[AgentModel], m: int, runs: int,
                            run=run, select_on_raw=True, keep_raw=True)
         pool.append(trace.raw_priorities[warmup_discard:].ravel())
     samples = np.sort(np.concatenate(pool))
-    rank = min(max(math.ceil(percentile * samples.size), 1), samples.size)
+    rank = min(max(math.ceil(SCALE_FIT_PERCENTILE * samples.size), 1),
+               samples.size)
     p = float(samples[rank - 1])
     if p <= 0:
         raise CalibrationError("fault-free raw priorities are all zero; "
                                "cannot fit a quantization scale")
     scale = p / SCALE_HEADROOM_TARGET
     log.info("quantization scale %.6g (p%g of %d raw priorities = %.6g)",
-             scale, 100 * percentile, samples.size, p)
+             scale, 100 * SCALE_FIT_PERCENTILE, samples.size, p)
     return scale

@@ -13,8 +13,7 @@ import sys
 
 import numpy as np
 
-from .calibration import (CalibrationConfig, calibrate,
-                          write_calibration_report)
+from .calibration import calibrate, write_calibration_report
 from .config import PRESET_SIZES, SystemConfig, build_preset
 from .errors import CalibrationError, ConfigError
 from .fd_dynamic import ThresholdTable
@@ -36,10 +35,10 @@ def build_parser() -> argparse.ArgumentParser:
                        "(matrices, LQR gains, fitted quantization scale)")
     p.add_argument("--preset", choices=sorted(PRESET_SIZES), default="desk")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eta", type=float, default=0.01)
-    p.add_argument("--d", type=int, default=10)
-    p.add_argument("--b", type=int, default=40)
-    p.add_argument("--rounds", type=int, default=300)
+    p.add_argument("--eta", type=float, default=SystemConfig.eta)
+    p.add_argument("--d", type=int, default=SystemConfig.d)
+    p.add_argument("--b", type=int, default=SystemConfig.b)
+    p.add_argument("--rounds", type=int, default=SystemConfig.rounds)
     p.add_argument("--scale-fit-runs", type=int, default=200)
     p.add_argument("-o", "--output", required=True)
 
@@ -81,11 +80,7 @@ def cmd_make_config(args) -> None:
 
 def cmd_calibrate(args) -> None:
     cfg = SystemConfig.load(args.config)
-    cal = CalibrationConfig(eta=cfg.eta, d=cfg.d, b=cfg.b, runs=args.runs,
-                            run_length=cfg.rounds, seed=args.seed,
-                            warmup_discard=cfg.warmup_discard)
-    table, bank = calibrate(cal, cfg.models(), cfg.bandwidth,
-                            cfg.require_scale())
+    table, bank = calibrate(cfg, runs=args.runs, seed=args.seed)
     table.save(args.output)
     if args.report:
         write_calibration_report(bank, args.report)

@@ -2,8 +2,10 @@
 
 The config file is the single source of plant matrices, feedback gains,
 noise covariance, priority weight, network parameters, detector parameters
-and the quantization scale. Matrices are stored row-major with declared
-dimensions so reference values can be substituted without touching code.
+(eta, d, b), run length, warm-up and the quantization scale; calibration
+and evaluation both read them from here. Matrices are stored row-major
+with declared dimensions so reference values can be substituted without
+touching code.
 Gains are computed once at config-build time (make-config) and the
 simulator only ever consumes the stored numbers.
 
@@ -26,6 +28,7 @@ import numpy as np
 from . import design
 from .dynamics import AgentModel
 from .errors import ConfigError
+from .priority import SCALE_FIT_PERCENTILE
 
 log = logging.getLogger(__name__)
 
@@ -44,6 +47,21 @@ def decode_matrix(doc: dict, name: str) -> np.ndarray:
         raise ConfigError(f"{name}: {rows}x{cols} declared but "
                           f"{len(data)} entries given")
     return np.array(data, dtype=float).reshape(rows, cols)
+
+
+def check_run(eta: float, d: int, b: int, rounds: int,
+              warmup_discard: int) -> None:
+    """Detector parameters and run length: a window of d rounds must fit
+    after the warm-up, whose rounds no rate or sample counts."""
+    if not 0 < eta < 1:
+        raise ConfigError(f"eta must be in (0, 1), got {eta}")
+    if d < 1 or b < 1:
+        raise ConfigError("d and b must be >= 1")
+    if warmup_discard < 0:
+        raise ConfigError(f"warmup_discard must be >= 0, got {warmup_discard}")
+    if rounds < warmup_discard + d:
+        raise ConfigError(f"rounds={rounds} is shorter than "
+                          f"warmup_discard + d = {warmup_discard + d}")
 
 
 @dataclass
@@ -91,10 +109,7 @@ class SystemConfig:
             raise ConfigError("n_agents must be >= 1")
         if not 1 <= self.bandwidth:
             raise ConfigError("bandwidth must be >= 1")
-        if not 0 < self.eta < 1:
-            raise ConfigError(f"eta must be in (0, 1), got {self.eta}")
-        if self.d < 1 or self.b < 1:
-            raise ConfigError("d and b must be >= 1")
+        check_run(self.eta, self.d, self.b, self.rounds, self.warmup_discard)
         if self.quant_scale is not None and self.quant_scale <= 0:
             raise ConfigError("quant_scale must be positive")
         self.models()  # dimension + PSD checks
@@ -186,8 +201,9 @@ class SystemConfig:
 PRESET_SIZES = {"desk": (6, 2), "full": (20, 2)}
 
 
-def build_preset(preset: str = "desk", seed: int = 0, eta: float = 0.01,
-                 d: int = 10, b: int = 40, rounds: int = 300,
+def build_preset(preset: str = "desk", seed: int = 0,
+                 eta: float = SystemConfig.eta, d: int = SystemConfig.d,
+                 b: int = SystemConfig.b, rounds: int = SystemConfig.rounds,
                  scale_fit_runs: int = 200,
                  fit_scale: bool = True) -> SystemConfig:
     """Cart-pole fleet config with LQR gains and (optionally) a fitted
@@ -224,5 +240,5 @@ def build_preset(preset: str = "desk", seed: int = 0, eta: float = 0.01,
             cfg.models(), bandwidth, runs=scale_fit_runs, run_length=rounds,
             seed=seed, warmup_discard=cfg.warmup_discard)
         cfg.provenance["scale_fit"] = {"runs": scale_fit_runs, "seed": seed,
-                                       "percentile": 0.999}
+                                       "percentile": SCALE_FIT_PERCENTILE}
     return cfg

@@ -41,6 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import SystemConfig
 from .errors import ConfigError
 from .network import ScheduleHistory
 
@@ -155,10 +156,12 @@ class ThresholdTable:
             return float("inf")
         return float(self.entries[t1 - 1, t2 - 1, h - 1, a])
 
-    def check_compatible(self, eta: float, d: int, b: int, m: int,
-                         n_agents: int, scale: float) -> None:
+    def check_compatible(self, cfg: SystemConfig) -> None:
+        """Refuse a table calibrated for other detector parameters, another
+        fleet size or bandwidth, or another quantization scale."""
         got = (self.eta, self.d, self.b, self.m, self.n_agents, self.scale)
-        want = (eta, d, b, m, n_agents, scale)
+        want = (cfg.eta, cfg.d, cfg.b, cfg.bandwidth, cfg.n_agents,
+                cfg.require_scale())
         if got != want:
             raise ConfigError(
                 "threshold table header does not match the runtime config: "

@@ -51,8 +51,6 @@ class AggregateReport:
     n_agents: int
     monitored: int              # agent id of the headline alarm series
     k_event: int | None
-    warmup: int
-    d: int
     p_sfd: np.ndarray           # (T, N) per-timestep alarm probability
     p_dfd: np.ndarray
     pre_sfd: np.ndarray         # (N,) interval false-positive/alarm rates
@@ -130,9 +128,8 @@ class _Tally:
         var = np.maximum(self.band_sq / runs - mean_state ** 2, 0.0)
         return AggregateReport(
             runs=runs, rounds=rounds, n_agents=n_agents,
-            monitored=self.monitored, k_event=self.k_event,
-            warmup=cfg.warmup_discard, d=cfg.d, p_sfd=p_sfd, p_dfd=p_dfd,
-            pre_sfd=pre_sfd, post_sfd=post_sfd, pre_dfd=pre_dfd,
+            monitored=self.monitored, k_event=self.k_event, p_sfd=p_sfd,
+            p_dfd=p_dfd, pre_sfd=pre_sfd, post_sfd=post_sfd, pre_dfd=pre_dfd,
             post_dfd=post_dfd, delay_sfd=self.delay_sfd,
             delay_dfd=self.delay_dfd, mean_err_sq=mean_err_sq,
             band_agent=self.band_agent, band_component=self.band_component,
@@ -148,9 +145,7 @@ def run_batch(cfg: SystemConfig, scenario: Scenario | None,
     """Monte Carlo batch; deterministic given (cfg, scenario, table, seed,
     runs) regardless of worker count."""
     scenario = scenario or fault_free()
-    scale = cfg.require_scale()
-    table.check_compatible(cfg.eta, cfg.d, cfg.b, cfg.bandwidth,
-                           cfg.n_agents, scale)
+    table.check_compatible(cfg)
     if seed == table.seed:
         # noise is keyed on (seed, run): these runs would replay the
         # calibration runs and measure in-sample rates
@@ -163,6 +158,10 @@ def run_batch(cfg: SystemConfig, scenario: Scenario | None,
     n_agents = cfg.n_agents
     scenario.check_fits(rounds, n_agents)
     k_event = scenario.first_event_round
+    if k_event is not None and k_event <= cfg.warmup_discard:
+        raise ConfigError(
+            f"first event at k={k_event} leaves no pre-event interval "
+            f"[warmup_discard, k) with warmup_discard={cfg.warmup_discard}")
     if k_event is not None and k_event + cfg.d >= rounds:
         raise ConfigError(
             f"first event at k={k_event} leaves no post-event interval "
@@ -178,8 +177,8 @@ def run_batch(cfg: SystemConfig, scenario: Scenario | None,
         raise ConfigError(f"band component must be in 1..{cfg.n}")
 
     models = cfg.models()
-    worker = partial(_one_run, models, cfg.bandwidth, scale, rounds, seed,
-                     scenario, table.sfd_kappa, table, True)
+    worker = partial(_one_run, models, cfg.bandwidth, cfg.require_scale(),
+                     rounds, seed, scenario, table.sfd_kappa, table, True)
 
     tally = _Tally(cfg, runs, rounds, n_agents, k_event, monitored,
                    band_agent, band_component)

@@ -20,6 +20,7 @@ from .errors import ConfigError
 
 QUANT_MAX = 255
 SCALE_HEADROOM_TARGET = 200
+SCALE_FIT_PERCENTILE = 0.999   # fault-free level mapped to the target
 
 
 def quantize_batch(raw: np.ndarray, scale: float) -> np.ndarray:

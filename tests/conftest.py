@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from priofd.calibration import CalibrationConfig, calibrate
+from priofd.calibration import calibrate
 from priofd.config import build_preset
 from priofd.network import WorldState, run_round
 from priofd.simulate import run_single
@@ -18,14 +18,10 @@ def desk_models(desk_cfg):
 
 
 @pytest.fixture(scope="session")
-def small_table(desk_cfg, desk_models):
+def small_table(desk_cfg):
     """Threshold artifact from a short calibration; enough samples for the
     sFD percentile and the common dFD cells, meant for plumbing tests."""
-    cal = CalibrationConfig(eta=desk_cfg.eta, d=desk_cfg.d, b=desk_cfg.b,
-                            runs=150, run_length=desk_cfg.rounds, seed=7,
-                            warmup_discard=desk_cfg.warmup_discard)
-    table, _ = calibrate(cal, desk_models, desk_cfg.bandwidth,
-                         desk_cfg.quant_scale)
+    table, _ = calibrate(desk_cfg, runs=150, seed=7)
     return table
 
 

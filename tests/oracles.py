@@ -26,8 +26,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from priofd.fd_dynamic import partition_rounds
-
 
 def ref_control(f_self, f_cross, x_self, xhat):
     """u_i = F_ii x_i + sum_l F_il xhat_l; f_cross maps 1-based agent ids to
@@ -170,17 +168,7 @@ class ExactToy:
         self.law = law or ToyLaw()
 
     def _periods(self, bits):
-        k = self.length - 1
-        ws = k - self.d + 1
-        if ws == 0:
-            prev = None
-        else:
-            prev = None
-            for r in range(ws - 1, max(-1, ws - 2 - self.b), -1):
-                if bits[r]:
-                    prev = r
-                    break
-        return partition_rounds(bits[ws:], ws, prev, self.b)
+        return brute_partition(bits, self.length - 1, self.d, self.b)
 
     def signature_measure(self):
         """measure[(T1, T2, a, H)] = exact sub-probability mass function of
@@ -191,11 +179,11 @@ class ExactToy:
             periods = self._periods(bits)
             h_count = len(periods)
             for p in periods:
-                if p.T2 > self.b:
+                if p["T2"] > self.b:
                     continue
                 law = convolve([self.law.cond[bits[r]]
-                                for r in range(p.start, p.end + 1)])
-                key = (p.T1, p.T2, int(p.is_last), h_count)
+                                for r in range(p["start"], p["end"] + 1)])
+                key = (p["T1"], p["T2"], int(p["last"]), h_count)
                 for s, ps in law.items():
                     measure[key][s] += p_pat * ps
         return measure
@@ -226,13 +214,13 @@ class ExactToy:
             h_count = len(periods)
             p_ok = Fraction(1)
             for p in periods:
-                if p.T2 > self.b:
+                if p["T2"] > self.b:
                     continue  # threshold infinite, period never alarms
-                kappa = table.get((p.T1, p.T2, int(p.is_last), h_count))
+                kappa = table.get((p["T1"], p["T2"], int(p["last"]), h_count))
                 if kappa is None:
                     continue
                 law = convolve([self.law.cond[bits[r]]
-                                for r in range(p.start, p.end + 1)])
+                                for r in range(p["start"], p["end"] + 1)])
                 p_ok *= sum(ps for s, ps in law.items() if s <= kappa)
             total += p_pat * (1 - p_ok)
         return total
@@ -256,10 +244,10 @@ class ExactToy:
             periods = self._periods(bits)
             h_count = len(periods)
             for p in periods:
-                if p.T2 > self.b:
+                if p["T2"] > self.b:
                     continue
-                s = sum(vals[p.start:p.end + 1])
-                measure[(p.T1, p.T2, int(p.is_last), h_count)][s] += p_path
+                key = (p["T1"], p["T2"], int(p["last"]), h_count)
+                measure[key][sum(vals[p["start"]:p["end"] + 1])] += p_path
         return measure
 
     def literal_alarm_probability(self, table) -> Fraction:
@@ -270,12 +258,12 @@ class ExactToy:
             periods = self._periods(bits)
             h_count = len(periods)
             for p in periods:
-                if p.T2 > self.b:
+                if p["T2"] > self.b:
                     continue
-                kappa = table.get((p.T1, p.T2, int(p.is_last), h_count))
+                kappa = table.get((p["T1"], p["T2"], int(p["last"]), h_count))
                 if kappa is None:
                     continue
-                if sum(vals[p.start:p.end + 1]) > kappa:
+                if sum(vals[p["start"]:p["end"] + 1]) > kappa:
                     total += p_path
                     break
         return total

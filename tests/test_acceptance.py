@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from priofd.calibration import CalibrationConfig, calibrate, calibrate_dfd
+from priofd.calibration import calibrate
 from priofd.fd_dynamic import (ThresholdTable, dfd_evaluate, partition_window)
 from priofd.fd_static import StaticDetector
 from priofd.harness import emit_csv, run_batch
@@ -34,12 +34,8 @@ def check(num, desc, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def acc_table(desk_cfg, desk_models):
-    cal = CalibrationConfig(eta=desk_cfg.eta, d=desk_cfg.d, b=desk_cfg.b,
-                            runs=RUNS, run_length=desk_cfg.rounds, seed=1000,
-                            warmup_discard=desk_cfg.warmup_discard)
-    table, _ = calibrate(cal, desk_models, desk_cfg.bandwidth,
-                         desk_cfg.quant_scale)
+def acc_table(desk_cfg):
+    table, _ = calibrate(desk_cfg, runs=RUNS, seed=1000)
     return table
 
 
@@ -192,14 +188,10 @@ def test_criterion_08_empirical_mean_square_boundedness(heldout):
 
 
 def test_criterion_09_determinism_and_serialization(tmp_path, desk_cfg,
-                                                    desk_models, acc_table):
-    cal = CalibrationConfig(eta=desk_cfg.eta, d=desk_cfg.d, b=desk_cfg.b,
-                            runs=50, run_length=desk_cfg.rounds, seed=9000,
-                            warmup_discard=desk_cfg.warmup_discard)
+                                                    acc_table):
     paths = []
     for tag in ("first", "second"):
-        table = calibrate_dfd(cal, desk_models, desk_cfg.bandwidth,
-                              desk_cfg.quant_scale)
+        table, _ = calibrate(desk_cfg, runs=50, seed=9000)
         path = tmp_path / f"{tag}.pfdt"
         table.save(path)
         paths.append(path)

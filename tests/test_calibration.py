@@ -1,17 +1,17 @@
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from priofd.calibration import (CalibrationConfig, SampleBank, calibrate_dfd,
-                                calibrate_sfd, dfd_entries,
-                                fit_quantization_scale, nearest_rank,
-                                write_calibration_report)
+from priofd.calibration import (CalibrationConfig, SampleBank, calibrate,
+                                dfd_entries, fit_quantization_scale,
+                                nearest_rank, write_calibration_report)
 from priofd.dynamics import AgentModel
 from priofd.errors import CalibrationError, ConfigError
-from priofd.priority import quantize_batch
+from priofd.priority import SCALE_FIT_PERCENTILE, quantize_batch
 
 from oracles import ExactToy, ToyLaw, brute_window_periods
 
@@ -132,32 +132,30 @@ class TestAddTraceOracle:
 
 
 class TestCalibrateSfd:
-    def test_refuses_thin_samples(self, desk_cfg, desk_models):
-        cal = CalibrationConfig(eta=0.001, d=desk_cfg.d, b=desk_cfg.b, runs=1,
-                                run_length=desk_cfg.rounds, seed=1)
-        with pytest.raises(CalibrationError):
-            calibrate_sfd(cal, desk_models, desk_cfg.bandwidth,
-                          desk_cfg.quant_scale)
+    def test_refuses_thin_samples(self, desk_cfg):
+        # 1 run gives 6 * 250 window sums; the 99.9th percentile needs 1e5
+        with pytest.raises(CalibrationError, match="needs at least 100000"):
+            calibrate(replace(desk_cfg, eta=0.001), runs=1, seed=1)
 
-    def test_deterministic(self, desk_cfg, desk_models):
-        cal = CalibrationConfig(eta=0.05, d=5, b=10, runs=20,
-                                run_length=120, seed=3)
-        a = calibrate_dfd(cal, desk_models, desk_cfg.bandwidth,
-                          desk_cfg.quant_scale)
-        b = calibrate_dfd(cal, desk_models, desk_cfg.bandwidth,
-                          desk_cfg.quant_scale)
+    def test_deterministic(self, desk_cfg):
+        cfg = replace(desk_cfg, eta=0.05, d=5, b=10, rounds=120)
+        a, bank = calibrate(cfg, runs=20, seed=3)
+        b, _ = calibrate(cfg, runs=20, seed=3)
         assert a.sfd_kappa == b.sfd_kappa
         assert np.array_equal(a.entries, b.entries, equal_nan=True)
+        # the table is bound to the config it was calibrated from
+        assert (a.eta, a.d, a.b, a.m, a.n_agents, a.scale, a.seed) == \
+            (0.05, 5, 10, cfg.bandwidth, cfg.n_agents, cfg.quant_scale, 3)
+        assert (bank.d, bank.b, a.sfd_samples, a.dfd_samples) == \
+            (5, 10, bank.sfd_count, bank.dfd_count)
 
-    def test_heterogeneous_fleet_refused(self, desk_cfg, desk_models):
-        odd = desk_models[:]
-        first = odd[0]
-        odd[0] = AgentModel(1, first.A, first.B, 0.5 * first.F_self,
-                            first.F_cross, first.noise_cov)
-        cal = CalibrationConfig(runs=2, run_length=100, seed=0,
-                                warmup_discard=20)
-        with pytest.raises(CalibrationError):
-            calibrate_sfd(cal, odd, desk_cfg.bandwidth, desk_cfg.quant_scale)
+    def test_invalid_config_refused(self, desk_cfg):
+        with pytest.raises(ConfigError, match="rounds=55 is shorter"):
+            calibrate(replace(desk_cfg, rounds=55), runs=1, seed=1)
+        with pytest.raises(ConfigError, match="warmup_discard must be >= 0"):
+            calibrate(replace(desk_cfg, warmup_discard=-1), runs=1, seed=1)
+        with pytest.raises(CalibrationError, match="0 window sums"):
+            calibrate(desk_cfg, runs=0, seed=1)
 
 
 class TestDfdEntries:
@@ -227,9 +225,9 @@ class TestDfdEntries:
 class TestScaleFit:
     def test_deterministic_and_headroom(self, desk_cfg, desk_models):
         s1 = fit_quantization_scale(desk_models, desk_cfg.bandwidth, runs=30,
-                                    run_length=200, seed=5)
+                                    run_length=200, seed=5, warmup_discard=50)
         s2 = fit_quantization_scale(desk_models, desk_cfg.bandwidth, runs=30,
-                                    run_length=200, seed=5)
+                                    run_length=200, seed=5, warmup_discard=50)
         assert s1 == s2 > 0
         # the fitted percentile itself lands at the headroom target
         from priofd.simulate import run_single
@@ -239,17 +237,23 @@ class TestScaleFit:
                             rounds=200, seed=5, run=r, select_on_raw=True,
                             keep_raw=True)
             pool.append(tr.raw_priorities[50:].ravel())
-        p999 = np.sort(np.concatenate(pool))[
-            int(np.ceil(0.999 * len(np.concatenate(pool)))) - 1]
+        samples = np.sort(np.concatenate(pool))
+        p999 = samples[int(np.ceil(SCALE_FIT_PERCENTILE * samples.size)) - 1]
         assert quantize_batch(p999, s1) in (199, 200)
 
+    def test_heterogeneous_fleet_refused(self, desk_cfg, desk_models):
+        odd = desk_models[:]
+        first = odd[0]
+        odd[0] = AgentModel(1, first.A, first.B, 0.5 * first.F_self,
+                            first.F_cross, first.noise_cov)
+        with pytest.raises(CalibrationError, match="distinct"):
+            fit_quantization_scale(odd, desk_cfg.bandwidth, runs=2,
+                                   run_length=100, seed=0, warmup_discard=20)
 
-def test_report_csv(tmp_path, small_table, desk_cfg, desk_models):
-    from priofd.calibration import collect_samples
-    cal = CalibrationConfig(eta=0.05, d=5, b=8, runs=5, run_length=120,
-                            seed=2)
-    bank = collect_samples(cal, desk_models, desk_cfg.bandwidth,
-                           desk_cfg.quant_scale)
+
+def test_report_csv(tmp_path, desk_cfg):
+    _, bank = calibrate(replace(desk_cfg, eta=0.05, d=5, b=8, rounds=120),
+                        runs=5, seed=2)
     path = tmp_path / "report.csv"
     write_calibration_report(bank, path)
     lines = path.read_text().splitlines()

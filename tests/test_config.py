@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from priofd.cli import main
 from priofd.config import (SystemConfig, build_preset, decode_matrix,
                            encode_matrix)
 from priofd.errors import ConfigError
@@ -93,3 +95,37 @@ def test_full_preset_shape():
     assert cfg.rounds == 300
     assert np.allclose(np.diag(cfg.noise_cov), 3e-4)
     cfg.validate()
+
+
+SHORT = r"is shorter than warmup_discard \+ d = "
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"rounds": 59}, SHORT + "60"),
+    ({"rounds": 40}, SHORT + "60"),
+    ({"warmup_discard": 295}, SHORT + "305"),
+    ({"warmup_discard": -5}, "warmup_discard must be >= 0"),
+], ids=["rounds59", "rounds40", "warmup295", "warmup-5"])
+def test_run_length_and_warmup_refused(desk_cfg, tmp_path, fields, message):
+    bad = dataclasses.replace(desk_cfg, **fields)
+    with pytest.raises(ConfigError, match=message):
+        bad.validate()
+    path = tmp_path / "cfg.json"
+    bad.save(path)
+    with pytest.raises(ConfigError, match=message):
+        SystemConfig.load(path)
+
+
+def test_shortest_valid_run_accepted(desk_cfg):
+    dataclasses.replace(desk_cfg, rounds=60).validate()
+    dataclasses.replace(desk_cfg, warmup_discard=0, rounds=10).validate()
+
+
+def test_make_config_short_run_refused(tmp_path, capsys):
+    out = tmp_path / "cfg.json"
+    assert main(["make-config", "--rounds", "40", "--scale-fit-runs", "2",
+                 "-o", str(out)]) == 2
+    assert "rounds=40 is shorter than warmup_discard + d = 60" in \
+        capsys.readouterr().err
+    assert not out.exists()
+

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -169,13 +170,16 @@ class TestThresholdTable:
         with pytest.raises(ConfigError):
             ThresholdTable.load(path)
 
-    def test_header_compatibility(self):
+    def test_header_compatibility(self, desk_cfg):
         table = flat_table(4, 6, 1.0)
-        table.check_compatible(0.01, 4, 6, 2, 6, 1.0)
-        with pytest.raises(ConfigError):
-            table.check_compatible(0.01, 4, 6, 2, 6, 2.0)
-        with pytest.raises(ConfigError):
-            table.check_compatible(0.02, 4, 6, 2, 6, 1.0)
+        cfg = replace(desk_cfg, eta=0.01, d=4, b=6, quant_scale=1.0)
+        table.check_compatible(cfg)   # desk fleet: M=2, N=6
+        for field, value in (("quant_scale", 2.0), ("eta", 0.02), ("d", 5),
+                             ("b", 7), ("bandwidth", 1), ("n_agents", 5)):
+            with pytest.raises(ConfigError, match="does not match"):
+                table.check_compatible(replace(cfg, **{field: value}))
+        with pytest.raises(ConfigError, match="no quantization scale"):
+            table.check_compatible(replace(cfg, quant_scale=None))
 
 
 class TestEvaluate:

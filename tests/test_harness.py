@@ -50,6 +50,19 @@ def test_event_leaving_no_post_interval_refused(desk_cfg, small_table):
     assert np.isfinite(report.post_sfd).all()
 
 
+def test_event_leaving_no_pre_interval_refused(desk_cfg, small_table):
+    # k <= warmup_discard = 50: the interval [warmup_discard, k) the pre
+    # rates average over would be empty
+    for k in (30, 50):
+        with pytest.raises(ConfigError, match=f"k={k} leaves no pre-event"):
+            run_batch(desk_cfg, actuator_failure((2,), k), small_table,
+                      runs=1, seed=0)
+    report, _ = run_batch(desk_cfg, actuator_failure((2,), 51), small_table,
+                          runs=2, seed=5)
+    assert np.isfinite(report.pre_sfd).all()
+    assert np.isfinite(report.pre_dfd).all()
+
+
 def test_in_sample_seed_refused(desk_cfg, small_table):
     seed = small_table.seed
     with pytest.raises(ConfigError, match=f"seed {seed} equals .* seed {seed}"):
