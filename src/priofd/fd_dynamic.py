@@ -9,15 +9,18 @@ the first period), plus the number of periods H in the window and a flag a
 marking the period that ends at the current round. Each period's priority
 sum is compared against kappa(T1, T2, H, a); any exceedance raises Fault.
 
-Long silences carry no evidence of misbehavior: entries with T2 > b are
-+inf, so such periods never alarm. The first period's T1 is capped at b+1
-when no communication is found within b+1 rounds before the window (or
-since the run start), which forces its T2 beyond b.
+Long silences carry no evidence of misbehavior: the table stops at T2 = b
+and periods with T2 > b are never compared, so they never alarm. The first
+period's T1 is capped at b+1 when no communication is found within b+1
+rounds before the window (or since the run start), which forces its T2
+beyond b.
 
-The online partitioner (partition_window) walks one window of a
-ScheduleHistory per round for dfd_evaluate. The batch kernel window_periods
-lays out every period of every window of a recorded run as flat arrays for
-calibration (SampleBank.add_trace) and replay (dfd_verdicts).
+The online path (partition_window, dfd_evaluate) makes one pass per round
+over the communication rounds a ScheduleHistory returns for [k-d-b, k],
+building the periods as plain tuples and summing them from Python ints.
+The batch kernel window_periods lays out every period of every window of a
+recorded run as flat arrays for calibration (SampleBank.add_trace) and
+replay (dfd_verdicts).
 
 Table file format "PFDT" v1 (little endian):
 
@@ -28,16 +31,18 @@ Table file format "PFDT" v1 (little endian):
         [T1-1, T2-1, H-1, a]
 
 Cells never touched by calibration hold +inf; structurally invalid cells
-(T1 > T2) hold NaN and are unreachable through lookup. Round-trips are
+(T1 > T2) hold NaN and are never read by either detector. Round-trips are
 bit-exact.
 """
 
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,51 +55,35 @@ VERSION = 1
 _HEADER = struct.Struct("<4sI d II II d Q d QQ")
 
 
-@dataclass(frozen=True)
-class Period:
-    h: int          # 1-based index within the window
+class Period(NamedTuple):
     start: int      # first round (absolute)
     end: int        # last round (absolute, inclusive)
     T1: int
     T2: int
     is_last: bool
 
-    def __post_init__(self):
-        if not (1 <= self.T1 <= self.T2):
-            raise AssertionError(f"invalid period delays T1={self.T1} T2={self.T2}")
-        if self.end - self.start != self.T2 - self.T1:
-            raise AssertionError("period length inconsistent with delays")
-
-
-def partition_rounds(window_gamma: Sequence[bool], window_start: int,
-                     last_comm_before: int | None, b: int) -> list[Period]:
-    """Partition [window_start, window_start+len-1] given the gamma bits of
-    the window and the round of the last communication strictly before it
-    (None if none within b+1 rounds, which caps the first T1 at b+1)."""
-    k_end = window_start + len(window_gamma) - 1
-    raw: list[tuple[int, int, int]] = []  # (start, end, T1)
-    start = window_start
-    t_prev = last_comm_before
-    for off, bit in enumerate(window_gamma):
-        r = window_start + off
-        if bit:
-            t1 = (start - t_prev) if t_prev is not None else b + 1
-            raw.append((start, r, t1))
-            t_prev = r
-            start = r + 1
-    if start <= k_end:
-        t1 = (start - t_prev) if t_prev is not None else b + 1
-        raw.append((start, k_end, t1))
-    return [Period(h, s, e, t1, t1 + (e - s), h == len(raw))
-            for h, (s, e, t1) in enumerate(raw, start=1)]
-
 
 def partition_window(history: ScheduleHistory, k: int, d: int, b: int) -> list[Period]:
-    """The unique period partition of [k-d+1, k] for one agent."""
-    gam = history.window(k, d)
+    """The unique period partition of [k-d+1, k] for one agent, from its
+    communication rounds in [k-d-b, k]."""
     ws = k - d + 1
-    last = history.last_comm_in(ws - (b + 1), ws - 1)
-    return partition_rounds(gam, ws, last, b)
+    if ws < 0:
+        raise ConfigError(f"window [{ws}, {k}] starts before the run")
+    comms = history.comm_rounds(ws - (b + 1), k)
+    before = bisect_left(comms, ws)
+    # the first period counts from the last communication before the window
+    # (at most b+1 rounds back), or from b+1 if there is none; every later
+    # period starts right after a communication
+    t1 = ws - comms[before - 1] if before else b + 1
+    ends = comms[before:]
+    if not ends or ends[-1] != k:
+        ends.append(k)
+    periods = []
+    start = ws
+    for end in ends:
+        periods.append(Period(start, end, t1, t1 + end - start, end == k))
+        start, t1 = end + 1, 1
+    return periods
 
 
 def window_periods(gamma: np.ndarray, q: np.ndarray, d: int, b: int,
@@ -147,15 +136,6 @@ class ThresholdTable:
             raise ConfigError(
                 f"table entries shape {self.entries.shape}, expected {expected}")
 
-    def lookup(self, t1: int, t2: int, h: int, a: int | bool) -> float:
-        a = int(a)
-        if t1 < 1 or t2 < t1 or h < 1 or h > self.d or a not in (0, 1):
-            raise ValueError(
-                f"invalid lookup index T1={t1} T2={t2} H={h} a={a}")
-        if t2 > self.b:
-            return float("inf")
-        return float(self.entries[t1 - 1, t2 - 1, h - 1, a])
-
     def check_compatible(self, cfg: SystemConfig) -> None:
         """Refuse a table calibrated for other detector parameters, another
         fleet size or bandwidth, or another quantization scale."""
@@ -205,11 +185,12 @@ def dfd_evaluate(history: ScheduleHistory, priorities: Sequence[int],
     if q.shape != (d,):
         raise ConfigError(f"need exactly d={d} priorities, got {q.shape}")
     periods = partition_window(history, k, d, b)
+    cq = list(accumulate(q.tolist(), initial=0))
     ws = k - d + 1
-    h_count = len(periods)
-    for p in periods:
-        s = int(q[p.start - ws:p.end - ws + 1].sum())
-        if s > table.lookup(p.T1, p.T2, h_count, p.is_last):
+    H = len(periods)
+    for start, end, t1, t2, is_last in periods:
+        if (t2 <= b and cq[end - ws + 1] - cq[start - ws]
+                > table.entries[t1 - 1, t2 - 1, H - 1, int(is_last)]):
             return True
     return False
 

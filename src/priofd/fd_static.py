@@ -36,10 +36,6 @@ class StaticDetector:
             return False
         return self._sum > self.kappa
 
-    @property
-    def window_sum(self) -> int:
-        return self._sum
-
 
 def sfd_verdicts(priorities: np.ndarray, kappa: float, d: int) -> np.ndarray:
     """Vectorized replay: verdicts for rounds 0..T-1 given the full priority

@@ -71,12 +71,12 @@ class AggregateReport:
         return float(pre[agent - 1]), float(post[agent - 1])
 
 
-def _one_run(models, m, scale, rounds, seed, scenario, kappa, table,
-             keep_states, run):
+def _one_run(models, m, scale, rounds, seed, scenario, table, run):
     trace = run_single(models, m, scale, rounds, seed, run,
-                       scenario=scenario, keep_states=keep_states)
+                       scenario=scenario, keep_states=True)
     n_agents = trace.gamma.shape[1]
-    sfd = np.stack([sfd_verdicts(trace.priorities[:, i], kappa, table.d)
+    sfd = np.stack([sfd_verdicts(trace.priorities[:, i], table.sfd_kappa,
+                                 table.d)
                     for i in range(n_agents)], axis=1)
     dfd = np.stack([dfd_verdicts(trace.gamma[:, i], trace.priorities[:, i],
                                  table) for i in range(n_agents)], axis=1)
@@ -87,11 +87,27 @@ class _Tally:
     """Alarm counts, state-band sums and detection delays, accumulated run
     by run in run order. run_batch and report_from_records both build their
     report here, so a report recomputed from run records is bit-identical
-    to the in-process one."""
+    to the in-process one, and both refuse the same requests."""
 
-    def __init__(self, cfg: SystemConfig, runs: int, rounds: int,
-                 n_agents: int, k_event: int | None, monitored: int,
-                 band_agent: int, band_component: int):
+    def __init__(self, cfg: SystemConfig, scenario: Scenario, runs: int,
+                 rounds: int, n_agents: int, n_components: int,
+                 monitored: int, band_agent: int, band_component: int):
+        if runs < 1:
+            raise ConfigError("runs must be >= 1")
+        scenario.check_fits(rounds, n_agents)
+        k_event = scenario.first_event_round
+        if k_event is not None and k_event <= cfg.warmup_discard:
+            raise ConfigError(
+                f"first event at k={k_event} leaves no pre-event interval "
+                f"[warmup_discard, k) with warmup_discard={cfg.warmup_discard}")
+        if k_event is not None and k_event + cfg.d >= rounds:
+            raise ConfigError(
+                f"first event at k={k_event} leaves no post-event interval "
+                f"[k+d, rounds) with d={cfg.d} and rounds={rounds}")
+        if not 1 <= monitored <= n_agents or not 1 <= band_agent <= n_agents:
+            raise ConfigError("monitored/band agent outside the fleet")
+        if not 1 <= band_component <= n_components:
+            raise ConfigError(f"band component must be in 1..{n_components}")
         self.cfg, self.runs, self.k_event = cfg, runs, k_event
         self.monitored = monitored
         self.band_agent, self.band_component = band_agent, band_component
@@ -152,36 +168,19 @@ def run_batch(cfg: SystemConfig, scenario: Scenario | None,
         raise ConfigError(
             f"evaluation seed {seed} equals the threshold table's "
             f"calibration seed {table.seed}; use a different seed")
-    if runs < 1:
-        raise ConfigError("runs must be >= 1")
     rounds = cfg.rounds
     n_agents = cfg.n_agents
-    scenario.check_fits(rounds, n_agents)
-    k_event = scenario.first_event_round
-    if k_event is not None and k_event <= cfg.warmup_discard:
-        raise ConfigError(
-            f"first event at k={k_event} leaves no pre-event interval "
-            f"[warmup_discard, k) with warmup_discard={cfg.warmup_discard}")
-    if k_event is not None and k_event + cfg.d >= rounds:
-        raise ConfigError(
-            f"first event at k={k_event} leaves no post-event interval "
-            f"[k+d, rounds) with d={cfg.d} and rounds={rounds}")
     faulty = scenario.faulty_agents()
     if monitored is None:
         monitored = faulty[0] if faulty else 1
     if band_agent is None:
         band_agent = monitored
-    if not 1 <= monitored <= n_agents or not 1 <= band_agent <= n_agents:
-        raise ConfigError("monitored/band agent outside the fleet")
-    if not 1 <= band_component <= cfg.n:
-        raise ConfigError(f"band component must be in 1..{cfg.n}")
+    tally = _Tally(cfg, scenario, runs, rounds, n_agents, cfg.n, monitored,
+                   band_agent, band_component)
 
     models = cfg.models()
     worker = partial(_one_run, models, cfg.bandwidth, cfg.require_scale(),
-                     rounds, seed, scenario, table.sfd_kappa, table, True)
-
-    tally = _Tally(cfg, runs, rounds, n_agents, k_event, monitored,
-                   band_agent, band_component)
+                     rounds, seed, scenario, table)
     err_sq_sum = np.zeros((rounds, n_agents))
     records: list[RunRecord] = []
 
@@ -370,10 +369,10 @@ def report_from_records(records: Sequence[RunRecord], cfg: SystemConfig,
                         band_agent: int, band_component: int = 3) -> AggregateReport:
     """Recompute the record-derived aggregate fields from emitted records
     (mean_err_sq is not part of run records and stays NaN)."""
-    rounds, n_agents = records[0].gamma.shape
-    tally = _Tally(cfg, len(records), rounds, n_agents,
-                   scenario.first_event_round, monitored, band_agent,
-                   band_component)
+    rounds, n_agents, n_components = (records[0].states.shape if records
+                                      else (0, 0, 0))
+    tally = _Tally(cfg, scenario, len(records), rounds, n_agents,
+                   n_components, monitored, band_agent, band_component)
     for run, rec in enumerate(records):
         tally.add(run, rec.sfd, rec.dfd, rec.states)
     return tally.report(np.full((rounds, n_agents), np.nan))

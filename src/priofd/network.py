@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,69 +35,52 @@ from .priority import quantize_batch
 
 
 class ScheduleHistory:
-    """Bounded record of one agent's gamma bits, indexed by absolute round."""
+    """Rounds in which one agent communicated (gamma=1), as an online dFD
+    observer keeps them: absolute round numbers, oldest first, covering the
+    last `retention` rounds appended. Rounds before the run count as
+    silent."""
 
     def __init__(self, agent: int, retention: int):
         if retention < 1:
             raise ConfigError("retention must be >= 1")
         self.agent = agent
         self.retention = retention
-        self._bits = deque(maxlen=retention)
+        self._comms: deque[int] = deque()
         self._next_round = 0
 
     def append(self, bit: bool) -> None:
-        self._bits.append(bool(bit))
+        if bit:
+            self._comms.append(self._next_round)
         self._next_round += 1
+        if self._comms and self._comms[0] < self._next_round - self.retention:
+            self._comms.popleft()
 
-    @property
-    def last_round(self) -> int:
-        return self._next_round - 1
-
-    @property
-    def first_round(self) -> int:
-        return self._next_round - len(self._bits)
-
-    def window(self, k: int, d: int) -> np.ndarray:
-        """gamma over rounds [k-d+1, k] as a bool array."""
-        lo = k - d + 1
-        if lo < self.first_round or k > self.last_round:
+    def comm_rounds(self, lo: int, hi: int) -> list[int]:
+        """Communication rounds in [lo, hi], oldest first. Scans back from
+        the newest round and stops below lo, so with hi the newest round a
+        call costs O(hi - lo) whatever the retention."""
+        first = max(self._next_round - self.retention, 0)
+        if max(lo, 0) < first or hi >= self._next_round:
             raise ConfigError(
                 f"history of agent {self.agent} covers "
-                f"[{self.first_round}, {self.last_round}], requested [{lo}, {k}]")
-        off = lo - self.first_round
-        return np.fromiter((self._bits[off + i] for i in range(d)),
-                           dtype=bool, count=d)
-
-    def last_comm_in(self, lo: int, hi: int) -> int | None:
-        """Most recent round r in [lo, hi] with gamma=1; None if no such
-        round exists. Rounds before the run start count as silent."""
-        lo = max(lo, 0)
-        if hi < lo:
-            return None
-        if lo < self.first_round:
-            raise ConfigError(
-                f"history of agent {self.agent} evicted rounds before "
-                f"{self.first_round}, requested from {lo}")
-        for r in range(min(hi, self.last_round), lo - 1, -1):
-            if self._bits[r - self.first_round]:
-                return r
-        return None
+                f"[{first}, {self._next_round - 1}], requested [{lo}, {hi}]")
+        out = []
+        for r in reversed(self._comms):
+            if r < lo:
+                break
+            if r <= hi:
+                out.append(r)
+        out.reverse()
+        return out
 
 
-def select_senders(priorities: Mapping[int, int] | Sequence[int], m: int) -> tuple[int, ...]:
-    """Ids of the min(m, N) agents with the highest quantized priorities.
-
-    Ties break by ascending agent id. Sequence inputs are taken as the
-    values of agents 1..N in order.
-    """
+def select_senders(priorities: np.ndarray | Sequence[float], m: int) -> tuple[int, ...]:
+    """Ids of the min(m, N) agents with the highest priorities, given the
+    values of agents 1..N in order. Ties break by ascending agent id."""
     if m <= 0:
         raise ConfigError(f"bandwidth M must be positive, got {m}")
-    if isinstance(priorities, Mapping):
-        items = list(priorities.items())
-    else:
-        items = list(enumerate(priorities, start=1))
-    items.sort(key=lambda kv: (-kv[1], kv[0]))
-    return tuple(agent for agent, _ in items[:min(m, len(items))])
+    p = np.asarray(priorities)
+    return tuple((np.argsort(-p, kind="stable")[:min(m, p.size)] + 1).tolist())
 
 
 @dataclass

@@ -1,16 +1,20 @@
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from priofd.errors import ConfigError
-from priofd.fd_dynamic import (Period, ThresholdTable, dfd_evaluate,
-                               dfd_verdicts, partition_window, window_periods)
+from priofd.fd_dynamic import (ThresholdTable, dfd_evaluate, dfd_verdicts,
+                               partition_window, window_periods)
 from priofd.network import ScheduleHistory
 
 from oracles import ExactToy, brute_partition, brute_window_periods
+
+DESK_TABLE = (Path(__file__).resolve().parent.parent / "perfbench" / "data"
+              / "desk_thresholds.pfdt")
 
 
 def history_from(bits):
@@ -86,10 +90,6 @@ class TestPartition:
         assert periods[-1].is_last
         assert len(periods) <= d
 
-    def test_invalid_period_rejected(self):
-        with pytest.raises(AssertionError):
-            Period(1, 0, 3, T1=2, T2=1, is_last=True)
-
 
 class TestWindowPeriods:
     @given(bits=st.lists(st.booleans(), max_size=40),
@@ -115,29 +115,6 @@ class TestWindowPeriods:
 
 
 class TestThresholdTable:
-    def test_lookup_beyond_cap_is_infinite(self):
-        table = flat_table(4, 6, 12.0)
-        assert table.lookup(1, 7, 2, 0) == float("inf")
-        assert table.lookup(7, 9, 1, 1) == float("inf")
-
-    def test_fresh_single_round_always_tabulated(self):
-        table = flat_table(4, 6, 12.0)
-        for h in range(1, 5):
-            for a in (0, 1):
-                assert table.lookup(1, 1, h, a) == 12.0
-
-    def test_lookup_is_pure(self):
-        table = flat_table(4, 6, 3.0)
-        assert table.lookup(2, 3, 2, 1) == table.lookup(2, 3, 2, 1)
-
-    @pytest.mark.parametrize("idx", [(0, 1, 1, 0), (2, 1, 1, 0),
-                                     (1, 1, 0, 0), (1, 1, 5, 0),
-                                     (1, 1, 1, 2)])
-    def test_invalid_indices_raise(self, idx):
-        table = flat_table(4, 6, 3.0)
-        with pytest.raises(ValueError):
-            table.lookup(*idx)
-
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         entries = rng.random((5, 5, 3, 2)).astype(np.float32)
@@ -207,6 +184,18 @@ class TestEvaluate:
         hist = history_from([0] * 10)       # T1 capped at b+1 -> T2 > b
         assert not dfd_evaluate(hist, [255] * 5, table, k=9)
 
+    def test_period_beyond_cap_never_alarms(self):
+        # d > b: window rounds 4..9 of comm at rounds 3 and 4 are the
+        # periods (1,1) over round 4 and (1,5) over rounds 5..9; the
+        # second runs past the table's T2 = b and is never compared
+        d, b = 6, 2
+        table = flat_table(d, b, 0.0)
+        hist = history_from([0, 0, 0, 1, 1, 0, 0, 0, 0, 0])
+        assert [(p.T1, p.T2) for p in partition_window(hist, 9, d, b)] == \
+               [(1, 1), (1, 5)]
+        assert not dfd_evaluate(hist, [0] + [255] * 5, table, k=9)
+        assert dfd_evaluate(hist, [1] + [0] * 5, table, k=9)
+
     def test_reduces_to_sfd_with_single_period(self):
         # a window without communication whose previous communication is
         # within b rounds is one period: with a flat table the dFD verdict
@@ -231,6 +220,8 @@ class TestEvaluate:
         table = flat_table(4, 6, 1.0)
         with pytest.raises(ConfigError):
             dfd_evaluate(history_from([0] * 8), [1, 2, 3], table, k=7)
+        with pytest.raises(ConfigError, match="starts before the run"):
+            dfd_evaluate(history_from([0] * 8), [1, 2, 3, 4], table, k=2)
 
     @given(d=st.integers(1, 12), b=st.integers(1, 15),
            density=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
@@ -256,19 +247,30 @@ class TestEvaluate:
         assert offline.tolist() == online
 
     def test_offline_matches_online_desk_table(self, rng, small_table):
-        for _ in range(25):
-            rounds = 60
-            bits = rng.random(rounds) < 0.33
-            q = rng.integers(0, 256, size=rounds).astype(np.int64)
-            offline = dfd_verdicts(bits, q, small_table)
-            hist = ScheduleHistory(1, rounds + 1)
-            online = np.zeros(rounds, dtype=bool)
-            for k in range(rounds):
-                hist.append(bool(bits[k]))
-                if k >= small_table.d - 1:
-                    online[k] = dfd_evaluate(
-                        hist, q[k - small_table.d + 1:k + 1], small_table, k)
-            assert np.array_equal(offline, online)
+        # the short test calibration and the committed 2000-run reference
+        # table, with a full history and with the least an observer keeps;
+        # priority ranges from fault-free levels to saturation, so both
+        # verdicts occur
+        rounds = 60
+        for table in (small_table, ThresholdTable.load(DESK_TABLE)):
+            d = table.d
+            seen = set()
+            for retention in (rounds + 1, d + table.b + 1):
+                for _ in range(25):
+                    bits = rng.random(rounds) < 0.33
+                    top = rng.integers(16, 257)
+                    q = rng.integers(0, top, size=rounds).astype(np.int64)
+                    offline = dfd_verdicts(bits, q, table)
+                    hist = ScheduleHistory(1, retention)
+                    online = np.zeros(rounds, dtype=bool)
+                    for k in range(rounds):
+                        hist.append(bool(bits[k]))
+                        if k >= d - 1:
+                            online[k] = dfd_evaluate(
+                                hist, q[k - d + 1:k + 1], table, k)
+                    assert np.array_equal(offline, online)
+                    seen.update(online[d - 1:].tolist())
+            assert seen == {False, True}
 
     def test_replay_is_bit_exact(self, rng, small_table):
         bits = rng.random(120) < 0.3

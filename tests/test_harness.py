@@ -20,6 +20,17 @@ def small_batch(desk_cfg, small_table):
     return report, records
 
 
+def both_entry_points(cfg, table, records, scenario, monitored=2,
+                      band_agent=2, band_component=3):
+    """The same request to run_batch and to report_from_records; each
+    refusal below must come from both."""
+    return (lambda: run_batch(cfg, scenario, table, runs=1, seed=0,
+                              monitored=monitored, band_agent=band_agent,
+                              band_component=band_component),
+            lambda: report_from_records(records, cfg, scenario, monitored,
+                                        band_agent, band_component))
+
+
 def test_single_run_probabilities_are_indicator(desk_cfg, small_table):
     report, _ = run_batch(desk_cfg, None, small_table, runs=1, seed=50)
     assert set(np.unique(report.p_sfd)) <= {0.0, 1.0}
@@ -32,31 +43,41 @@ def test_incompatible_table_refused(desk_cfg, small_table):
         run_batch(desk_cfg, None, other, runs=1, seed=0)
 
 
-def test_event_after_last_round_refused(desk_cfg, small_table):
-    with pytest.raises(ConfigError, match="k=400"):
-        run_batch(desk_cfg, actuator_failure((2,), 400), small_table,
-                  runs=1, seed=0)
+def test_event_after_last_round_refused(desk_cfg, small_table, small_batch):
+    _, records = small_batch
+    for call in both_entry_points(desk_cfg, small_table, records,
+                                  actuator_failure((2,), 400)):
+        with pytest.raises(ConfigError, match="k=400"):
+            call()
 
 
-def test_event_leaving_no_post_interval_refused(desk_cfg, small_table):
+def test_event_leaving_no_post_interval_refused(desk_cfg, small_table,
+                                                small_batch):
     # k + d >= rounds: the interval [k + d, rounds) the post rates average
     # over would be empty
+    _, records = small_batch
     for k in (290, 295):
-        with pytest.raises(ConfigError, match=f"k={k} leaves no post-event"):
-            run_batch(desk_cfg, actuator_failure((2,), k), small_table,
-                      runs=1, seed=0)
+        for call in both_entry_points(desk_cfg, small_table, records,
+                                      actuator_failure((2,), k)):
+            with pytest.raises(ConfigError,
+                               match=f"k={k} leaves no post-event"):
+                call()
     report, _ = run_batch(desk_cfg, actuator_failure((2,), 289), small_table,
                           runs=1, seed=0)
     assert np.isfinite(report.post_sfd).all()
 
 
-def test_event_leaving_no_pre_interval_refused(desk_cfg, small_table):
+def test_event_leaving_no_pre_interval_refused(desk_cfg, small_table,
+                                               small_batch):
     # k <= warmup_discard = 50: the interval [warmup_discard, k) the pre
     # rates average over would be empty
+    _, records = small_batch
     for k in (30, 50):
-        with pytest.raises(ConfigError, match=f"k={k} leaves no pre-event"):
-            run_batch(desk_cfg, actuator_failure((2,), k), small_table,
-                      runs=1, seed=0)
+        for call in both_entry_points(desk_cfg, small_table, records,
+                                      actuator_failure((2,), k)):
+            with pytest.raises(ConfigError,
+                               match=f"k={k} leaves no pre-event"):
+                call()
     report, _ = run_batch(desk_cfg, actuator_failure((2,), 51), small_table,
                           runs=2, seed=5)
     assert np.isfinite(report.pre_sfd).all()
@@ -69,11 +90,58 @@ def test_in_sample_seed_refused(desk_cfg, small_table):
         run_batch(desk_cfg, None, small_table, runs=1, seed=seed)
 
 
-def test_event_agent_outside_fleet_refused(desk_cfg, small_table):
+def test_event_agent_outside_fleet_refused(desk_cfg, small_table,
+                                           small_batch):
+    _, records = small_batch
     for agent in (0, desk_cfg.n_agents + 1):
-        with pytest.raises(ConfigError, match="agents 1..6"):
-            run_batch(desk_cfg, actuator_failure((2, agent), 100), small_table,
-                      runs=1, seed=0)
+        for call in both_entry_points(desk_cfg, small_table, records,
+                                      actuator_failure((2, agent), 100)):
+            with pytest.raises(ConfigError, match="agents 1..6"):
+                call()
+
+
+def test_monitored_and_band_outside_fleet_refused(desk_cfg, small_table,
+                                                  small_batch):
+    _, records = small_batch
+    scenario = actuator_failure((2,), 100)
+    for kw in ({"monitored": 0}, {"monitored": 7}, {"band_agent": 7}):
+        for call in both_entry_points(desk_cfg, small_table, records,
+                                      scenario, **kw):
+            with pytest.raises(ConfigError, match="outside the fleet"):
+                call()
+    for comp in (0, desk_cfg.n + 1):
+        for call in both_entry_points(desk_cfg, small_table, records,
+                                      scenario, band_component=comp):
+            with pytest.raises(ConfigError,
+                               match=f"band component must be in 1..{desk_cfg.n}"):
+                call()
+
+
+def test_no_runs_refused(desk_cfg, small_table):
+    with pytest.raises(ConfigError, match="runs must be >= 1"):
+        run_batch(desk_cfg, None, small_table, runs=0, seed=0)
+    with pytest.raises(ConfigError, match="runs must be >= 1"):
+        report_from_records([], desk_cfg, fault_free(), 1, 1)
+
+
+def test_short_records_refused(desk_cfg):
+    # 3-round, 2-agent records: events with an empty pre- or post-event
+    # interval or beyond the last round, and agents outside the records,
+    # are refused as run_batch refuses them
+    rounds, agents = 3, 2
+    cfg = dataclasses.replace(desk_cfg, rounds=rounds, warmup_discard=1, d=1)
+    zeros = np.zeros((rounds, agents), dtype=bool)
+    records = [RunRecord(0, 9, zeros, zeros.astype(np.int16), zeros, zeros,
+                         np.zeros((rounds, agents, 1)))]
+    for scenario, monitored, match in (
+            (actuator_failure((1,), 0), 1, "k=0 leaves no pre-event"),
+            (actuator_failure((1,), 2), 1, "k=2 leaves no post-event"),
+            (actuator_failure((1,), 7), 1, "k=7"),
+            (fault_free(), 5, "outside the fleet")):
+        with pytest.raises(ConfigError, match=match):
+            report_from_records(records, cfg, scenario, monitored, 1, 1)
+    with pytest.raises(ConfigError, match="band component must be in 1..1"):
+        report_from_records(records, cfg, fault_free(), 1, 1, 2)
 
 
 def test_monitored_defaults_to_first_faulty(small_batch):

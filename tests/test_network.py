@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from priofd.dynamics import AgentModel, draw_noise_block, noise_stream
 from priofd.errors import ConfigError
+from priofd.fd_dynamic import ThresholdTable, dfd_evaluate
 from priofd.network import ScheduleHistory, WorldState, run_round, select_senders
 from priofd.scenarios import bandwidth_loss
 from priofd.simulate import run_single
@@ -22,9 +23,6 @@ class TestSelectSenders:
 
     def test_saturation(self):
         assert set(select_senders([1, 2, 3], 9)) == {1, 2, 3}
-
-    def test_mapping_input(self):
-        assert select_senders({3: 9, 1: 5, 2: 3}, 1) == (3,)
 
     def test_nonpositive_bandwidth(self):
         with pytest.raises(ConfigError):
@@ -46,21 +44,54 @@ class TestScheduleHistory:
         h = ScheduleHistory(1, 10)
         for bit in (1, 0, 0, 1, 0):
             h.append(bit)
-        assert h.window(4, 3).tolist() == [0, 1, 0]
-        assert h.last_comm_in(0, 4) == 3
-        assert h.last_comm_in(0, 2) == 0
-        assert h.last_comm_in(1, 2) is None
-        assert h.last_comm_in(-5, -1) is None  # before run start: silent
+        assert h.comm_rounds(2, 4) == [3]
+        assert h.comm_rounds(0, 4) == [0, 3]
+        assert h.comm_rounds(0, 2) == [0]
+        assert h.comm_rounds(1, 2) == []
+        # before run start: silent
+        assert h.comm_rounds(-5, 4) == [0, 3]
+        assert h.comm_rounds(-5, -1) == []
+        with pytest.raises(ConfigError, match=r"covers \[0, 4\]"):
+            h.comm_rounds(0, 5)                 # a round not yet appended
 
     def test_eviction_raises(self):
         h = ScheduleHistory(1, 4)
-        for _ in range(8):
-            h.append(0)
-        assert h.first_round == 4
+        for bit in (1, 0, 1, 1, 0, 0, 1, 0):
+            h.append(bit)
+        assert h.comm_rounds(4, 7) == [6]
+        with pytest.raises(ConfigError, match=r"covers \[4, 7\]"):
+            h.comm_rounds(3, 7)
         with pytest.raises(ConfigError):
-            h.window(7, 6)
-        with pytest.raises(ConfigError):
-            h.last_comm_in(0, 3)
+            h.comm_rounds(-5, 7)
+
+    def test_evaluate_needs_d_plus_b_plus_1_rounds(self):
+        # the first period looks back up to b+1 rounds before the window
+        d, b = 4, 3
+        table = ThresholdTable(0.01, d, b, 2, 6, 1.0, 0, 0.0, 0, 0,
+                               np.zeros((b, b, d, 2)))
+        bits = [1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1, 0]
+        short, enough = ScheduleHistory(1, d + b), ScheduleHistory(1, d + b + 1)
+        for bit in bits:
+            short.append(bit)
+            enough.append(bit)
+        k = len(bits) - 1
+        dfd_evaluate(enough, [0] * d, table, k)
+        with pytest.raises(ConfigError, match="requested"):
+            dfd_evaluate(short, [0] * d, table, k)
+
+    @given(st.lists(st.booleans(), min_size=1, max_size=30),
+           st.integers(1, 12), st.integers(-5, 30), st.integers(0, 30))
+    def test_matches_gamma_record(self, bits, retention, lo, width):
+        h = ScheduleHistory(1, retention)
+        for bit in bits:
+            h.append(bit)
+        hi = min(lo + width, len(bits) - 1)
+        if max(lo, 0) < len(bits) - retention:
+            with pytest.raises(ConfigError):
+                h.comm_rounds(lo, hi)
+        else:
+            assert h.comm_rounds(lo, hi) == \
+                [r for r in range(max(lo, 0), hi + 1) if bits[r]]
 
 
 class TestRoundPipeline:
