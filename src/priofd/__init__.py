@@ -12,9 +12,8 @@ from .fd_dynamic import (Period, ThresholdTable, dfd_evaluate, dfd_verdicts,
 from .fd_static import StaticDetector, sfd_verdicts
 from .harness import (AggregateReport, RunRecord, emit_csv, parse_run_record,
                       run_batch)
-from .network import (RoundOutcome, ScheduleHistory, WorldState, run_round,
-                      select_senders)
-from .scenarios import Scenario, apply_events, resolve_scenario
+from .network import ScheduleHistory, select_senders
+from .scenarios import Scenario, resolve_scenario
 from .simulate import RunTrace, run_single
 
 __version__ = "0.1.0"

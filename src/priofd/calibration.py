@@ -78,15 +78,12 @@ class SampleBank:
     """Exact multisets of fault-free sums, histogram backed.
 
     sfd_hist[s] counts window sums equal to s; dfd_hist[T1-1, T2-1, a, s]
-    counts period sums with that signature. With audit=True every sample's
-    (run, k, agent) origin is kept for traceability.
+    counts period sums with that signature.
     """
     d: int
     b: int
-    audit: bool = False
     sfd_hist: np.ndarray = field(init=False)
     dfd_hist: np.ndarray = field(init=False)
-    audit_log: list = field(default_factory=list)
 
     def __post_init__(self):
         top = QUANT_MAX * self.d + 1
@@ -105,7 +102,7 @@ class SampleBank:
         return self.dfd_hist.sum(axis=3)
 
     def add_trace(self, gamma: np.ndarray, priorities: np.ndarray,
-                  start_k: int, run: int = -1) -> None:
+                  start_k: int) -> None:
         """Collect every window sum and period sum at rounds >= start_k."""
         n_agents = gamma.shape[1]
         d, b = self.d, self.b
@@ -118,12 +115,8 @@ class SampleBank:
             self.sfd_hist += np.bincount(post, minlength=top)
             rows = window_periods(gamma[:, i], priorities[:, i], d, b, start_k)
             tab = rows[2] <= b
-            k, t1, t2, _, a, s = (col[tab] for col in rows)
+            _, t1, t2, _, a, s = (col[tab] for col in rows)
             flat.append((((t1 - 1) * b + (t2 - 1)) * 2 + a) * top + s)
-            if self.audit:
-                cols = (c.tolist() for c in (t1, t2, a, s))
-                self.audit_log.extend((run, kk, i + 1, *cell)
-                                      for kk, *cell in zip(k.tolist(), *cols))
         np.add.at(self.dfd_hist.reshape(-1), np.concatenate(flat), 1)
 
 
@@ -156,7 +149,7 @@ def calibrate(cfg: SystemConfig, runs: int,
     bank = SampleBank(cfg.d, cfg.b)
     for run in range(runs):
         trace = run_single(models, m, scale, cfg.rounds, seed, run)
-        bank.add_trace(trace.gamma, trace.priorities, cfg.warmup_discard, run)
+        bank.add_trace(trace.gamma, trace.priorities, cfg.warmup_discard)
     n = bank.sfd_count
     needed = MIN_SFD_SAMPLES_FACTOR / cfg.eta
     if n < needed:
@@ -256,7 +249,7 @@ def fit_quantization_scale(models: Sequence[AgentModel], m: int, runs: int,
     pool = []
     for run in range(runs):
         trace = run_single(models, m, scale=1.0, rounds=run_length, seed=seed,
-                           run=run, select_on_raw=True, keep_raw=True)
+                           run=run, select_on_raw=True)
         pool.append(trace.raw_priorities[warmup_discard:].ravel())
     samples = np.sort(np.concatenate(pool))
     rank = min(max(math.ceil(SCALE_FIT_PERCENTILE * samples.size), 1),

@@ -72,15 +72,18 @@ class AggregateReport:
 
 
 def _one_run(models, m, scale, rounds, seed, scenario, table, run):
+    """One run's record and squared error norms: all that run_batch reads
+    of it, and all that a worker process sends back."""
     trace = run_single(models, m, scale, rounds, seed, run,
-                       scenario=scenario, keep_states=True)
+                       scenario=scenario)
     n_agents = trace.gamma.shape[1]
     sfd = np.stack([sfd_verdicts(trace.priorities[:, i], table.sfd_kappa,
                                  table.d)
                     for i in range(n_agents)], axis=1)
     dfd = np.stack([dfd_verdicts(trace.gamma[:, i], trace.priorities[:, i],
                                  table) for i in range(n_agents)], axis=1)
-    return trace, sfd, dfd
+    return (RunRecord(run, seed, trace.gamma, trace.priorities, sfd, dfd,
+                      trace.states), trace.err_sq)
 
 
 class _Tally:
@@ -191,13 +194,11 @@ def run_batch(cfg: SystemConfig, scenario: Scenario | None,
         pool = None
         results = map(worker, range(runs))
     try:
-        for run, (trace, sfd, dfd) in enumerate(results):
-            tally.add(run, sfd, dfd, trace.states)
-            err_sq_sum += trace.err_sq
+        for run, (rec, err_sq) in enumerate(results):
+            tally.add(run, rec.sfd, rec.dfd, rec.states)
+            err_sq_sum += err_sq
             if run < record_runs:
-                records.append(RunRecord(run, seed, trace.gamma.copy(),
-                                         trace.priorities.copy(), sfd, dfd,
-                                         trace.states.copy()))
+                records.append(rec)
     finally:
         if pool is not None:
             pool.shutdown()

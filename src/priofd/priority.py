@@ -2,7 +2,7 @@
 
 Priorities computed in round k decide who transmits in round k+2, so the
 triggering scores the error predicted two rounds ahead
-(network.WorldState.raw_priorities). With the default identity weight the
+(RunTrace.raw_priorities, computed by simulate.run_single). With the default identity weight the
 raw priority equals ||Atilde^2 e(k)||^2, the quadratic form of the current
 error under ((A+BF_ii)')^2 (A+BF_ii)^2.
 

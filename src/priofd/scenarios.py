@@ -1,12 +1,13 @@
 """Declarative fault and disturbance injection.
 
-A scenario is a list of (round, mutation) events applied at the start of
-the named round. Mutations touch only the plant and the network: an
-actuator failure zeroes B in the plant while every estimator keeps the
-original model (this mismatch is what the detectors must pick up), a
-bandwidth change alters M at the selection stage (in-flight winner sets
-still deliver), and a disturbance adds extra zero-mean noise to one plant
-for a fixed number of rounds.
+A scenario is a list of (round, mutation) events; the round engine
+(simulate.run_single) applies them at the start of the named round.
+Mutations touch only the plant and the network: an actuator failure zeroes
+B in the plant while every estimator keeps the original model (this
+mismatch is what the detectors must pick up), a bandwidth change alters M
+at the selection stage (in-flight winner sets still deliver), and a
+disturbance adds extra zero-mean noise to one plant for a fixed number of
+rounds.
 
 The two simulation scenarios ship as presets: "actuator-failure" (B := 0
 for a subset of agents at k=100) and "bandwidth-loss" (M: 2 -> 1 at
@@ -23,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .network import Disturbance, WorldState
 
 
 @dataclass(frozen=True)
@@ -96,35 +96,6 @@ class Scenario:
     def load(cls, path: str | Path) -> "Scenario":
         doc = json.loads(Path(path).read_text())
         return cls(doc["name"], [Event.from_dict(e) for e in doc["events"]])
-
-
-def apply_events(world: WorldState, scenario: Scenario, k: int) -> None:
-    """Apply all of the scenario's round-k mutations (idempotent per round)."""
-    for ev in scenario.events:
-        if ev.k != k:
-            continue
-        if ev.kind == "set_bandwidth":
-            if ev.bandwidth <= 0:
-                raise ConfigError(f"bandwidth event at k={k} must be positive")
-            world.M = min(ev.bandwidth, world.N)
-            continue
-        for agent in ev.agents:
-            if not 1 <= agent <= world.N:
-                raise ConfigError(f"scenario touches unknown agent {agent}")
-            i = agent - 1
-            if ev.kind == "set_B_zero":
-                world.plant_B[i] = 0.0
-                world.model_matched[i] = False
-            else:  # add_disturbance
-                cov = np.array(ev.covariance, dtype=float)
-                if cov.shape != (world.n, world.n):
-                    raise ConfigError(
-                        f"disturbance covariance shape {cov.shape} does not "
-                        f"match state dimension {world.n}")
-                chol = np.linalg.cholesky(cov + 1e-12 * np.eye(world.n))
-                world.disturbances[agent] = Disturbance(
-                    chol, k + ev.duration, world.disturbance_stream(agent))
-                world.model_matched[i] = False
 
 
 def fault_free() -> Scenario:

@@ -2,7 +2,8 @@
 
 ref_control, ref_priority, ref_quantize and ref_round restate one round of
 the protocol agent by agent with plain matrix products, sharing no code
-with the batched round engine in priofd.network.
+with the batched round engine in priofd.simulate; ref_replay applies
+ref_round to every round of a recorded run.
 
 brute_partition re-derives the detection-window partition by literal
 scanning, sharing no code with the production partitioners;
@@ -51,16 +52,17 @@ def ref_quantize(raw, scale):
     return min(255, math.floor(raw / scale))
 
 
-def ref_round(models, xhat, x, senders, v, scale):
-    """One round for plants that match their models. xhat, x and v are
-    (N, n): shared estimates, true states and process noise at round k;
-    senders holds the 1-based ids with gamma(k) = 1. Returns the quantized
-    priorities, the shared estimates at k+1 and the true states at k+1."""
+def ref_round(models, xhat, e, senders, v, scale):
+    """One round for plants that match their models. xhat, e and v are
+    (N, n): shared estimates, estimation errors and process noise at round
+    k, so the true states are x = xhat + e; senders holds the 1-based ids
+    with gamma(k) = 1. Returns the quantized priorities, the shared
+    estimates at k+1 and the true states at k+1."""
+    x = xhat + e
     q, xhat_next, x_next = [], [], []
     for i, mod in enumerate(models):
         q.append(ref_quantize(ref_priority(mod.A, mod.B, mod.F_self,
-                                           mod.priority_weight,
-                                           x[i] - xhat[i]), scale))
+                                           mod.priority_weight, e[i]), scale))
         u = ref_control(mod.F_self, mod.F_cross, x[i], xhat)
         x_next.append(mod.A @ x[i] + mod.B @ u + v[i])
         # a sender's measurement replaces the old estimate, predicted one
@@ -69,6 +71,17 @@ def ref_round(models, xhat, x, senders, v, scale):
         u_hat = ref_control(mod.F_self, mod.F_cross, base, xhat)
         xhat_next.append(mod.A @ base + mod.B @ u_hat)
     return q, np.array(xhat_next), np.array(x_next)
+
+
+def ref_replay(models, trace, scale):
+    """ref_round on every round k -> k+1 of a recorded run, started from its
+    shared estimates (states - errors), its errors, its senders and its
+    noise; yields (k, q, xhat_next, x_next) for k = 0..T-2."""
+    xhat = trace.states - trace.errors
+    for k in range(len(trace.gamma) - 1):
+        senders = {int(i) + 1 for i in np.flatnonzero(trace.gamma[k])}
+        yield (k, *ref_round(models, xhat[k], trace.errors[k], senders,
+                             trace.noise[k], scale))
 
 
 def brute_partition(bits, k, d, b):

@@ -75,50 +75,32 @@ class TestSampleBank:
         assert bank.sfd_count == 3
         assert [s for s in (6, 9, 12) if bank.sfd_hist[s]] == [6, 9, 12]
 
-    def test_audit_traceability(self):
-        bank = SampleBank(d=3, b=4, audit=True)
-        q = np.ones((6, 2), dtype=np.int64)
-        gamma = np.zeros((6, 2), dtype=bool)
-        gamma[3, 0] = True
-        bank.add_trace(gamma, q, start_k=2, run=17)
-        assert len(bank.audit_log) == bank.dfd_count
-        assert all(entry[0] == 17 for entry in bank.audit_log)
-        # capped first periods (T2 > b) are not collected
-        assert {(e[3], e[4], e[5]) for e in bank.audit_log} == \
-            {(1, 1, 1), (1, 2, 1)}
+
+def brute_bank(gamma, q, d, b, start_k):
+    """Period samples of one trace from the brute-force partitioner:
+    {(T1, T2, a, sum): count}; capped periods (T2 > b) are not collected."""
+    return Counter((t1, t2, a, s) for i in range(gamma.shape[1])
+                   for _, t1, t2, _, a, s in brute_window_periods(
+                       gamma[:, i].tolist(), q[:, i], d, b, start_k)
+                   if t2 <= b)
 
 
-def brute_bank(gamma, q, d, b, start_k, run):
-    """Period samples and audit entries of one trace from the brute-force
-    partitioner: ({(T1, T2, a, sum): count}, [(run, k, agent, T1, T2, a,
-    sum)])."""
-    log = []
-    for i in range(gamma.shape[1]):
-        for k, t1, t2, _, a, s in brute_window_periods(
-                gamma[:, i].tolist(), q[:, i], d, b, start_k):
-            if t2 <= b:
-                log.append((run, k, i + 1, t1, t2, a, s))
-    return Counter(e[3:] for e in log), log
-
-
-def assert_bank_matches_brute(gamma, q, d, b, start_k, run):
-    bank = SampleBank(d, b, audit=True)
-    bank.add_trace(gamma, q, start_k, run)
-    want_hist, want_log = brute_bank(gamma, q, d, b, max(start_k, d - 1), run)
+def assert_bank_matches_brute(gamma, q, d, b, start_k):
+    bank = SampleBank(d, b)
+    bank.add_trace(gamma, q, start_k)
+    want_hist = brute_bank(gamma, q, d, b, max(start_k, d - 1))
     cells = np.nonzero(bank.dfd_hist)
     got_hist = {(t1 + 1, t2 + 1, a, s): n for t1, t2, a, s, n in zip(
         *(c.tolist() for c in cells), bank.dfd_hist[cells].tolist())}
     assert got_hist == dict(want_hist)
-    assert bank.audit_log == want_log
-    assert all(type(v) is int for e in bank.audit_log for v in e)
 
 
 class TestAddTraceOracle:
     def test_desk_runs(self, desk_cfg, fault_free_traces):
-        for run, trace in enumerate(fault_free_traces[:5]):
+        for trace in fault_free_traces[:5]:
             assert_bank_matches_brute(trace.gamma, trace.priorities,
                                       desk_cfg.d, desk_cfg.b,
-                                      desk_cfg.warmup_discard, run)
+                                      desk_cfg.warmup_discard)
 
     @given(d=st.integers(1, 12), b=st.integers(1, 15),
            rounds=st.integers(1, 50), density=st.floats(0.0, 1.0),
@@ -128,7 +110,7 @@ class TestAddTraceOracle:
         rng = np.random.default_rng(seed)
         gamma = rng.random((rounds, 3)) < density
         q = rng.integers(0, 256, size=(rounds, 3)).astype(np.int16)
-        assert_bank_matches_brute(gamma, q, d, b, start_k, seed)
+        assert_bank_matches_brute(gamma, q, d, b, start_k)
 
 
 class TestCalibrateSfd:
@@ -234,8 +216,7 @@ class TestScaleFit:
         pool = []
         for r in range(30):
             tr = run_single(desk_models, desk_cfg.bandwidth, scale=1.0,
-                            rounds=200, seed=5, run=r, select_on_raw=True,
-                            keep_raw=True)
+                            rounds=200, seed=5, run=r, select_on_raw=True)
             pool.append(tr.raw_priorities[50:].ravel())
         samples = np.sort(np.concatenate(pool))
         p999 = samples[int(np.ceil(SCALE_FIT_PERCENTILE * samples.size)) - 1]

@@ -3,7 +3,7 @@ import pytest
 
 from priofd.dynamics import AgentModel, draw_noise_block, noise_stream
 from priofd.errors import ConfigError
-from priofd.network import WorldState
+from priofd.simulate import run_single
 
 
 def simple_model(a=None, b=None, noise=None, ident=1):
@@ -15,31 +15,40 @@ def simple_model(a=None, b=None, noise=None, ident=1):
 
 
 class TestStepAgent:
-    """The plant step x' = A x + B u + v as the round engine takes it."""
+    """The plant step x' = A x + B u + v as the round engine takes it, read
+    off whole run_single traces."""
 
-    def test_identity_dynamics(self, advance):
-        model = simple_model(b=[[1.0], [1.0]])
-        world = advance([model], [[1.0, 2.0]], [[0.0, 0.0]])
-        assert np.array_equal(world.states, [[1.0, 2.0]])
-        assert world.k == 1
+    def test_identity_dynamics(self):
+        # A = I and F = 0: the state moves by the noise alone
+        model = simple_model(b=[[1.0], [1.0]], noise=0.01 * np.eye(2))
+        trace = run_single([model], 1, 1.0, 20, seed=0, run=0)
+        assert trace.states.shape == (20, 1, 2)
+        assert np.allclose(trace.states[1:],
+                           trace.states[:-1] + trace.noise[:-1],
+                           rtol=0, atol=1e-14)
 
-    def test_superposition(self, advance):
+    def test_superposition(self):
         # A = I, B = I, F = I: x' = x + u + v with u = x
-        model = AgentModel(1, np.eye(2), np.eye(2), np.eye(2))
-        world = advance([model], [[0.5, 0.0]], [[0.0, 0.0]],
-                        noise=[[[0.0, 1.0]]])
-        assert np.array_equal(world.states, [[1.0, 1.0]])
+        model = AgentModel(1, np.eye(2), np.eye(2), np.eye(2), {},
+                           0.01 * np.eye(2))
+        trace = run_single([model], 1, 1.0, 12, seed=0, run=0)
+        assert np.allclose(trace.states[1:],
+                           2 * trace.states[:-1] + trace.noise[:-1],
+                           rtol=1e-12, atol=1e-14)
 
-    def test_cartpole_equilibrium_is_fixed_point(self, desk_models, advance):
-        world = advance(desk_models, np.zeros((6, 4)), np.zeros((6, 4)))
-        assert np.array_equal(world.states, np.zeros((6, 4)))
+    def test_cartpole_equilibrium_is_fixed_point(self, desk_models):
+        # without noise nothing leaves the equilibrium at zero
+        quiet = [AgentModel(m.id, m.A, m.B, m.F_self, m.F_cross, None,
+                            m.priority_weight) for m in desk_models]
+        trace = run_single(quiet, 2, 1.0, 20, seed=0, run=0)
+        assert not trace.states.any()
 
     def test_dimension_mismatch(self):
         # the engine stacks the fleet and refuses unequal dimensions
         for other in (simple_model(a=np.eye(3), ident=2),
                       simple_model(b=np.zeros((2, 2)), ident=2)):
             with pytest.raises(ConfigError, match="dimensions"):
-                WorldState([simple_model(), other], 1, 1.0, 5, seed=0, run=0)
+                run_single([simple_model(), other], 1, 1.0, 5, seed=0, run=0)
 
 
 class TestSampleNoise:

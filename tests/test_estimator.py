@@ -1,104 +1,119 @@
 """Shared remote estimates and the estimation error e = x - xhat, as the
 round engine keeps them: every agent extrapolates every other agent's state
 from the same shared estimate, and a transmitted measurement replaces the
-estimate, predicted one step ahead."""
+estimate, predicted one step ahead. Each test reads whole run_single
+traces; shared estimates are states - errors."""
 
 import numpy as np
 
 from priofd.dynamics import AgentModel
-from priofd.network import WorldState, run_round
-from priofd.scenarios import actuator_failure, apply_events
+from priofd.scenarios import Event, Scenario, actuator_failure
+from priofd.simulate import run_single
 
-from oracles import ref_round
-
-
-def mismatched_world(models, xhat, err):
-    """A world whose agent 1 runs on an explicitly simulated plant (zeroed
-    actuator), so its error is formed as x - xhat; zero noise."""
-    world = WorldState(models, 1, 1.0, 1, seed=0, run=0)
-    world.noise = np.zeros_like(world.noise)
-    apply_events(world, actuator_failure((1,), 0), 0)
-    world.Xhat = np.array(xhat, dtype=float)
-    world.E = np.array(err, dtype=float)
-    return world
+from oracles import ref_replay
 
 
 class TestComputeError:
     def test_zero_when_equal(self):
-        # B = 0: the failed plant still equals the model, and a state equal
-        # to its estimate stays so
-        model = AgentModel(1, np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)))
-        world = mismatched_world([model], [[1.0, 2.0]], [[0.0, 0.0]])
-        run_round(world)
-        assert np.array_equal(world.E, [[0.0, 0.0]])
-        assert np.array_equal(world.states, [[1.0, 2.0]])
+        # B = 0: the failed plant still equals the model, so the explicit
+        # plant path (e = x - xhat) gives the model path's run
+        model = AgentModel(1, np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)),
+                           {}, 0.01 * np.eye(2))
+        intact = run_single([model], 1, 1.0, 20, seed=0, run=0)
+        failed = run_single([model], 1, 1.0, 20, seed=0, run=0,
+                            scenario=actuator_failure((1,), 0))
+        assert np.array_equal(failed.gamma, intact.gamma)
+        assert np.allclose(failed.errors, intact.errors, rtol=0, atol=1e-14)
+        assert np.allclose(failed.states, intact.states, rtol=0, atol=1e-14)
 
     def test_componentwise(self):
-        m1, m2 = coupled_pair()
-        xhat = np.array([[0.3, -0.2], [0.1, 0.4]])
-        err = np.array([[0.05, 0.1], [0.0, 0.0]])
-        world = mismatched_world([m1, m2], xhat, err)
-        run_round(world)
-        # plant without input versus the estimate that assumes one
-        x_next = m1.A @ (xhat[0] + err[0])
-        _, xhat_next, _ = ref_round([m1, m2], xhat, xhat + err, (),
-                                    np.zeros((2, 2)), 1.0)
-        assert np.allclose(world.E[0], x_next - xhat_next[0], rtol=0,
-                           atol=1e-15)
+        # agent 1's actuator fails at k=0: its plant runs without input
+        # while every estimate assumes one
+        models = coupled_pair()
+        trace = run_single(models, 1, 1.0, 30, seed=0, run=0,
+                           scenario=actuator_failure((1,), 0))
+        x, xhat = trace.states, trace.states - trace.errors
+        for k, _, xhat_next, x_next in ref_replay(models, trace, 1.0):
+            assert np.allclose(xhat[k + 1], xhat_next, rtol=0, atol=1e-14)
+            assert np.allclose(x[k + 1, 0],
+                               models[0].A @ x[k, 0] + trace.noise[k, 0],
+                               rtol=0, atol=1e-14)
+            assert np.allclose(x[k + 1, 1], x_next[1], rtol=0, atol=1e-14)
+        assert trace.errors[2:, 0].any()
 
 
-def coupled_pair():
+def coupled_pair(noise1=1e-3):
     a = np.array([[1.0, 0.1], [0.0, 0.9]])
     b = np.array([[0.0], [0.2]])
     f_self = np.array([[-0.4, -1.1]])
     f_cross = np.array([[0.05, 0.02]])
-    m1 = AgentModel(1, a, b, f_self, {2: f_cross}, 1e-3 * np.eye(2))
+    m1 = AgentModel(1, a, b, f_self, {2: f_cross}, noise1 * np.eye(2))
     m2 = AgentModel(2, a, b, f_self, {1: f_cross}, 1e-3 * np.eye(2))
     return m1, m2
 
 
 class TestPropagateEstimate:
-    def test_fresh_measurement_zero_noise_resets_error(self, advance):
-        models = coupled_pair()
-        x = np.array([[0.3, -0.2], [0.1, 0.4]])
-        xhat = np.array([[9.0, 9.0], [0.1, 0.4]])  # stale, discarded
-        world = advance(models, xhat, x - xhat, senders=(1,))
-        assert np.array_equal(world.E[0], np.zeros(2))
-        _, xhat_next, x_next = ref_round(models, xhat, x, (1,),
-                                         np.zeros((2, 2)), 1.0)
-        assert np.allclose(world.Xhat[0], xhat_next[0], rtol=0, atol=1e-15)
-        assert np.allclose(world.states[0], x_next[0], rtol=0, atol=1e-15)
+    def test_fresh_measurement_zero_noise_resets_error(self):
+        # agent 1 has no process noise; a disturbance over rounds 0..8
+        # leaves it an error, and each measurement it sends once its plant
+        # rejoins the model (k > 9) discards the stale estimate: e = 0
+        models = coupled_pair(noise1=0.0)
+        shake = Scenario("shake", [Event(0, "add_disturbance", agents=(1,),
+                                         covariance=((1e-3, 0.0), (0.0, 1e-3)),
+                                         duration=9)])
+        trace = run_single(models, 1, 1e-4, 60, seed=0, run=0,
+                           scenario=shake)
+        sends = np.flatnonzero(trace.gamma[10:-1, 0]) + 10
+        assert sends.size and trace.errors[sends[0], 0].any()
+        for k in sends:
+            assert not trace.errors[k + 1, 0].any()
+        for k, _, xhat_next, x_next in ref_replay(models, trace, 1e-4):
+            if k > 9:
+                assert np.allclose(trace.states[k + 1] - trace.errors[k + 1],
+                                   xhat_next, rtol=0, atol=1e-14)
+                assert np.allclose(trace.states[k + 1], x_next, rtol=0,
+                                   atol=1e-14)
 
-    def test_extrapolation_exact_under_zero_noise(self, advance):
-        models = coupled_pair()
-        x = np.array([[0.3, -0.2], [0.1, 0.4]])
-        for rounds in range(1, 5):
-            world = advance(models, x, np.zeros((2, 2)), rounds=rounds)
-            assert np.array_equal(world.E, np.zeros((2, 2)))
-            xhat = x
-            for _ in range(rounds):
-                _, xhat, _ = ref_round(models, xhat, xhat, (),
-                                       np.zeros((2, 2)), 1.0)
-            assert np.allclose(world.states, xhat, rtol=0, atol=1e-14)
+    def test_extrapolation_exact_under_zero_noise(self):
+        # agent 1 has no process noise and starts at e = 0, so its estimate
+        # extrapolates its state exactly while agent 2's noise moves both
+        models = coupled_pair(noise1=0.0)
+        trace = run_single(models, 1, 1e-4, 30, seed=0, run=0)
+        assert not trace.errors[:, 0].any()
+        assert trace.states[1:, 0].any()
+        for k, _, xhat_next, x_next in ref_replay(models, trace, 1e-4):
+            assert np.allclose(trace.states[k + 1, 0], x_next[0], rtol=0,
+                               atol=1e-14)
+            assert np.allclose(trace.states[k + 1, 0], xhat_next[0], rtol=0,
+                               atol=1e-14)
 
-    def test_identity_dynamics_keeps_error(self, advance):
-        # A=I, B=0: the closed-loop difference of the extrapolation fixes e
-        model = AgentModel(1, np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)))
-        world = advance([model], [[0.0, 0.0]], [[1.0, 0.0]])
-        assert np.array_equal(world.E, [[1.0, 0.0]])
-        assert np.array_equal(world.Xhat, [[0.0, 0.0]])
+    def test_identity_dynamics_keeps_error(self):
+        # A=I, B=0: the closed-loop difference of the extrapolation fixes e,
+        # so a silent agent's error only accumulates noise; a tiny scale
+        # saturates both priorities and agent 1 wins every slot
+        model = AgentModel(1, np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)),
+                           {}, 0.01 * np.eye(2))
+        other = AgentModel(2, model.A, model.B, model.F_self, {},
+                           model.noise_cov)
+        trace = run_single([model, other], 1, 1e-250, 20, seed=0, run=0)
+        assert not trace.gamma[:, 1].any()
+        err = trace.errors[:, 1]
+        assert np.array_equal(err[1:], err[:-1] + trace.noise[:-1, 1])
+        assert np.array_equal(trace.states[:, 1], err)   # estimate stays 0
 
-    def test_received_round_error_equals_noise(self, advance):
+    def test_received_round_error_equals_noise(self):
         # e(k+1) = v(k) after a communicated round, by substituting the
         # update rule into the plant step
         models = coupled_pair()
-        x = np.array([[0.5, 0.1], [-0.2, 0.3]])
-        xhat = np.array([[1.0, 1.0], [-0.2, 0.3]])
-        v = np.array([[0.013, -0.007], [0.0, 0.0]])
-        world = advance(models, xhat, x - xhat, senders=(1,), noise=v[None])
-        assert np.array_equal(world.E[0], v[0])
-        _, xhat_next, x_next = ref_round(models, xhat, x, (1,), v, 1.0)
-        assert np.allclose(x_next[0] - xhat_next[0], v[0], rtol=0, atol=1e-15)
+        trace = run_single(models, 1, 1e-4, 30, seed=0, run=0)
+        ks, agents = np.nonzero(trace.gamma[:-1])
+        assert set(agents) == {0, 1}
+        for k, i in zip(ks, agents):
+            assert np.array_equal(trace.errors[k + 1, i], trace.noise[k, i])
+        for k, _, xhat_next, x_next in ref_replay(models, trace, 1e-4):
+            for i in np.flatnonzero(trace.gamma[k]):
+                assert np.allclose(x_next[i] - xhat_next[i],
+                                   trace.noise[k, i], rtol=0, atol=1e-15)
 
 
 class TestEngineErrorProperties:
@@ -119,7 +134,7 @@ class TestEngineErrorProperties:
             gam = trace.gamma
             for i in range(gam.shape[1]):
                 col = gam[:, i]
-                for k in range(55, trace.rounds):
+                for k in range(55, len(gam)):
                     if col[k - 1]:
                         after_send.append(trace.err_sq[k, i])
                     if not col[k - 5:k].any():
@@ -133,9 +148,7 @@ class TestEngineErrorProperties:
         quiet = [AgentModel(m.id, m.A, m.B, m.F_self, m.F_cross,
                             np.zeros((4, 4)), m.priority_weight)
                  for m in desk_models]
-        world = WorldState(quiet, desk_cfg.bandwidth, desk_cfg.quant_scale,
+        trace = run_single(quiet, desk_cfg.bandwidth, desk_cfg.quant_scale,
                            20, seed=0, run=0)
-        for _ in range(20):
-            run_round(world)
-        assert np.array_equal(world.Xhat, np.zeros_like(world.Xhat))
-        assert np.array_equal(world.E, np.zeros_like(world.E))
+        assert not trace.states.any()
+        assert not trace.errors.any()

@@ -7,11 +7,11 @@ from hypothesis import given, strategies as st
 from priofd.dynamics import AgentModel, draw_noise_block, noise_stream
 from priofd.errors import ConfigError
 from priofd.fd_dynamic import ThresholdTable, dfd_evaluate
-from priofd.network import ScheduleHistory, WorldState, run_round, select_senders
-from priofd.scenarios import bandwidth_loss
+from priofd.network import ScheduleHistory, select_senders
+from priofd.scenarios import PRESETS, bandwidth_loss
 from priofd.simulate import run_single
 
-from oracles import ref_quantize, ref_round
+from oracles import ref_quantize, ref_replay
 
 
 class TestSelectSenders:
@@ -96,21 +96,16 @@ class TestScheduleHistory:
 
 class TestRoundPipeline:
     def test_cold_start_two_empty_rounds(self, desk_cfg, desk_models):
-        world = WorldState(desk_models, desk_cfg.bandwidth,
+        trace = run_single(desk_models, desk_cfg.bandwidth,
                            desk_cfg.quant_scale, 10, seed=3, run=0)
-        out0 = run_round(world)
-        out1 = run_round(world)
-        out2 = run_round(world)
-        assert out0.senders == ()
-        assert out1.senders == ()
-        assert len(out0.priorities) == world.N
-        assert len(out2.senders) == desk_cfg.bandwidth
+        assert not trace.gamma[:2].any()
+        assert trace.priorities.shape == (10, len(desk_models))
+        assert trace.gamma[2].sum() == desk_cfg.bandwidth
 
     def test_single_agent_sends_every_round(self):
         model = AgentModel(1, np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)),
                            {}, 0.01 * np.eye(2))
-        trace = run_single([model], m=1, scale=1e-6, rounds=30, seed=5, run=0,
-                           keep_errors=True, keep_noise=True)
+        trace = run_single([model], m=1, scale=1e-6, rounds=30, seed=5, run=0)
         assert not trace.gamma[:2].any()
         assert trace.gamma[2:, 0].all()
         for k in range(2, 29):
@@ -124,6 +119,18 @@ class TestRoundPipeline:
                                     desk_cfg.bandwidth)
             got = tuple(np.flatnonzero(trace.gamma[k]) + 1)
             assert set(got) == set(expect)
+
+    def test_select_on_raw_ranks_raw_priorities(self, desk_cfg, desk_models):
+        # a scale this coarse quantizes every priority to 0, so only the raw
+        # ranking can spread the slots over the fleet
+        trace = run_single(desk_models, desk_cfg.bandwidth, 1e9, 60, seed=9,
+                           run=0, select_on_raw=True)
+        assert not trace.priorities.any()
+        for k in range(2, 60):
+            expect = select_senders(trace.raw_priorities[k - 2],
+                                    desk_cfg.bandwidth)
+            assert set(np.flatnonzero(trace.gamma[k]) + 1) == set(expect)
+        assert trace.gamma[2:, 2:].any()
 
     def test_hand_simulated_three_agent_pipeline(self):
         # independent re-simulation: random-walk errors (A=I, B=0), priority
@@ -175,21 +182,34 @@ class TestRoundPipeline:
         duty = both / base
         assert p_repeat > 1.1 * duty
 
+    def test_fleet_and_bandwidth_refused(self, desk_models):
+        # before round 0: even a run of no rounds is refused
+        swapped = [desk_models[1], desk_models[0], *desk_models[2:]]
+        with pytest.raises(ConfigError, match="1..N in order"):
+            run_single(swapped, 2, 1.0, 0, seed=0, run=0)
+        for m in (0, -1):
+            with pytest.raises(ConfigError, match="M must be positive"):
+                run_single(desk_models, m, 1.0, 0, seed=0, run=0)
+
     def test_round_equals_composed_unit_ops(self, desk_cfg, desk_models):
-        world = WorldState(desk_models, desk_cfg.bandwidth,
-                           desk_cfg.quant_scale, 20, seed=23, run=0)
-        for _ in range(9):
-            run_round(world)
-        xhat = world.Xhat.copy()
-        x = world.states.copy()
-        gamma_now = set(world.pipeline[0])
-        noise_k = world.noise[world.k].copy()
-
-        out = run_round(world)
-        assert set(out.senders) == gamma_now and gamma_now
-
-        q, xhat_next, x_next = ref_round(desk_models, xhat, x, gamma_now,
-                                         noise_k, desk_cfg.quant_scale)
-        assert out.priorities.tolist() == q
-        assert np.allclose(world.Xhat, xhat_next, atol=1e-9)
-        assert np.allclose(world.states, x_next, atol=1e-9)
+        # every round of a desk run of each scenario preset against the
+        # agent-by-agent oracle; a plant that a fault has changed is
+        # compared on priorities and estimates only
+        for name, preset in PRESETS.items():
+            scn = preset()
+            trace = run_single(desk_models, desk_cfg.bandwidth,
+                               desk_cfg.quant_scale, desk_cfg.rounds,
+                               seed=23, run=0, scenario=scn)
+            matched = np.ones(trace.gamma.shape, dtype=bool)
+            for ev in scn.events:
+                end = ev.k + ev.duration if ev.kind == "add_disturbance" else None
+                matched[ev.k:end, [a - 1 for a in ev.agents]] = False
+            xhat = trace.states - trace.errors
+            for k, q, xhat_next, x_next in ref_replay(
+                    desk_models, trace, desk_cfg.quant_scale):
+                assert q == trace.priorities[k].tolist(), (name, k)
+                assert np.allclose(xhat[k + 1], xhat_next, atol=1e-9), (name, k)
+                ok = matched[k]
+                assert np.allclose(trace.states[k + 1, ok], x_next[ok],
+                                   atol=1e-9), (name, k)
+            assert matched.all() == (name in ("fault-free", "bandwidth-loss"))

@@ -13,7 +13,8 @@ ROOT = Path(__file__).resolve().parent.parent
 pytestmark = pytest.mark.acceptance
 
 
-@pytest.mark.parametrize("workload", ["make_config", "calibrate", "evaluate"])
+@pytest.mark.parametrize("workload", ["make_config", "calibrate", "evaluate",
+                                      "online"])
 def test_one_traced_round_passes(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

@@ -1,6 +1,7 @@
 """Communication priorities as the round engine computes them: the error
 predicted two rounds ahead, its quadratic measure, and the saturating 8-bit
-quantizer."""
+quantizer. Engine priorities are read off whole run_single traces, against
+the errors the same trace records."""
 
 import numpy as np
 import pytest
@@ -8,82 +9,117 @@ from hypothesis import given, strategies as st
 
 from priofd.dynamics import AgentModel
 from priofd.errors import ConfigError
-from priofd.network import WorldState
 from priofd.priority import QUANT_MAX, quantize_batch
+from priofd.simulate import run_single
 
 from oracles import ref_priority, ref_quantize
 
 
-def identity_loop_model():
+def identity_loop_model(ident=1, cov=0.01):
     # A = I, B = 0 makes the closed loop (and its square) the identity
-    return AgentModel(1, np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)))
+    return AgentModel(ident, np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)),
+                      {}, cov * np.eye(2))
 
 
-def raw_priorities(models, err):
-    world = WorldState(models, 1, 1.0, 1, seed=0, run=0)
-    world.E = np.array(err, dtype=float)
-    return world.raw_priorities()
+def half_quiet_desk(desk_models):
+    """The desk fleet with agents 2 and 5 noise free: their errors stay
+    zero while the others' move."""
+    return [AgentModel(m.id, m.A, m.B, m.F_self, m.F_cross,
+                       None if m.id in (2, 5) else m.noise_cov,
+                       m.priority_weight) for m in desk_models]
 
 
 class TestComputePriority:
     def test_zero_error_zero_priority(self):
-        raw = raw_priorities([identity_loop_model()], [[0.0, 0.0]])
-        assert raw.tolist() == [0.0]
-        assert quantize_batch(raw, 1.0).tolist() == [0]
+        fleet = [identity_loop_model(1), identity_loop_model(2, cov=0.0)]
+        trace = run_single(fleet, 1, 1e-4, 20, seed=0, run=0)
+        assert trace.errors[1:, 0].any()
+        # every error starts at zero, and the noise-free agent's stays so
+        assert not trace.errors[0].any() and not trace.errors[:, 1].any()
+        for prio in (trace.raw_priorities, trace.priorities):
+            assert not prio[0].any() and not prio[:, 1].any()
 
     def test_euclidean_norm_when_weight_identity(self):
-        raw = raw_priorities([identity_loop_model()], [[3.0, 4.0]])
-        assert raw.tolist() == [25.0]
-        assert quantize_batch(raw, 1.0).tolist() == [25]
+        trace = run_single([identity_loop_model()], 1, 1e-4, 30, seed=0,
+                           run=0)
+        raw, err = trace.raw_priorities[:, 0], trace.errors[:, 0]
+        assert np.allclose(raw, np.einsum("kj,kj->k", err, err), rtol=1e-15,
+                           atol=0)
+        assert trace.priorities[:, 0].tolist() == \
+            [ref_quantize(r, 1e-4) for r in raw]
+        assert len(set(trace.priorities[1:, 0].tolist())) > 5
 
-    def test_quadratic_homogeneity(self, rng):
-        e = rng.normal(size=(1, 2))
-        p1 = raw_priorities([identity_loop_model()], e)
-        p2 = raw_priorities([identity_loop_model()], 2 * e)
-        assert np.isclose(p2[0], 4 * p1[0])
+    def test_quadratic_homogeneity(self):
+        # covariance 4I doubles the noise (both covariance traces are >= 1,
+        # so the Cholesky jitter scales too); a lone agent's schedule does
+        # not depend on its priorities
+        p1 = run_single([identity_loop_model(cov=1.0)], 1, 1.0, 20, seed=3,
+                        run=0).raw_priorities
+        p2 = run_single([identity_loop_model(cov=4.0)], 1, 1.0, 20, seed=3,
+                        run=0).raw_priorities
+        assert p1[1:].all()
+        assert np.allclose(p2, 4 * p1, rtol=1e-12, atol=0)
 
-    def test_positive_outside_weight_kernel(self, desk_models, rng):
-        # identity weight: zero priority exactly when the predicted error
-        # is zero
-        for _ in range(20):
-            e = rng.normal(size=(6, 4))
-            e[rng.random(6) < 0.3] = 0.0
-            raw = raw_priorities(desk_models, e)
-            assert ((raw > 0) == e.any(axis=1)).all()
+    def test_positive_outside_weight_kernel(self, desk_cfg, desk_models):
+        # identity weight: zero priority exactly when the error is zero
+        trace = run_single(half_quiet_desk(desk_models), desk_cfg.bandwidth,
+                           desk_cfg.quant_scale, 60, seed=19, run=0)
+        nonzero = trace.errors.any(axis=2)
+        assert nonzero.any() and not nonzero.all()
+        assert ((trace.raw_priorities > 0) == nonzero).all()
 
-    def test_composed_measure_is_closed_loop_quadratic_form(self, desk_models, rng):
+    def test_composed_measure_is_closed_loop_quadratic_form(self, desk_models,
+                                                           fault_free_traces):
         # predict two steps then weight: equals e' ((A+BF)')^2 (A+BF)^2 e
-        e = rng.normal(size=(6, 4))
-        raw = raw_priorities(desk_models, e)
-        for i, model in enumerate(desk_models):
-            assert np.isclose(raw[i], ref_priority(model.A, model.B,
-                                                   model.F_self,
-                                                   model.priority_weight,
-                                                   e[i]), rtol=1e-12)
+        trace = fault_free_traces[0]
+        for k in range(len(trace.gamma)):
+            for i, model in enumerate(desk_models):
+                assert np.isclose(trace.raw_priorities[k, i],
+                                  ref_priority(model.A, model.B, model.F_self,
+                                               model.priority_weight,
+                                               trace.errors[k, i]),
+                                  rtol=1e-12), (k, i)
 
 
 class TestPredictError:
-    def test_zero_stays_zero(self, desk_models, advance):
-        assert raw_priorities(desk_models, np.zeros((6, 4))).tolist() == [0.0] * 6
-        world = advance(desk_models, np.zeros((6, 4)), np.zeros((6, 4)),
-                        rounds=2)
-        assert np.array_equal(world.E, np.zeros((6, 4)))
+    def test_zero_stays_zero(self, desk_cfg, desk_models):
+        trace = run_single(half_quiet_desk(desk_models), desk_cfg.bandwidth,
+                           desk_cfg.quant_scale, 60, seed=19, run=0)
+        assert trace.errors[1:, 0].any()
+        assert not trace.errors[:, [1, 4]].any()
+        assert not trace.raw_priorities[:, [1, 4]].any()
 
-    def test_half_identity(self, advance):
-        model = AgentModel(1, 0.5 * np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)))
-        assert raw_priorities([model], [[4.0, 0.0]]).tolist() == [1.0]
-        world = advance([model], [[0.0, 0.0]], [[4.0, 0.0]], rounds=2)
-        assert np.array_equal(world.E, [[1.0, 0.0]])
+    def test_half_identity(self):
+        # A = I/2: a silent error halves each round, and the priority is
+        # ||e/4||^2; a tiny scale saturates both priorities, so agent 1
+        # wins every slot and agent 2 stays silent
+        fleet = [AgentModel(i, 0.5 * np.eye(2), np.zeros((2, 1)),
+                            np.zeros((1, 2)), {}, 0.01 * np.eye(2))
+                 for i in (1, 2)]
+        trace = run_single(fleet, 1, 1e-250, 20, seed=0, run=0)
+        assert not trace.gamma[:, 1].any()
+        err = trace.errors[:, 1]
+        assert np.array_equal(err[1:], 0.5 * err[:-1] + trace.noise[:-1, 1])
+        assert np.allclose(trace.raw_priorities[:, 1],
+                           np.einsum("kj,kj->k", err, err) / 16, rtol=1e-15,
+                           atol=0)
 
-    def test_matches_two_silent_extrapolation_steps(self, desk_models, rng,
-                                                    advance):
-        # oracle: run the engine's silent-round error recursion twice
-        # without noise; the priority measures that error now
-        e = rng.normal(size=(6, 4))
-        raw = raw_priorities(desk_models, e)
-        world = advance(desk_models, np.zeros((6, 4)), e, rounds=2)
-        assert np.allclose(raw, np.einsum("ij,ij->i", world.E, world.E),
-                           rtol=1e-12)
+    def test_matches_two_silent_extrapolation_steps(self, desk_models,
+                                                    fault_free_traces):
+        # oracle: the engine's silent-round error recursion run twice
+        # without noise, e(k+2) - Atilde v(k) - v(k+1); the priority at k
+        # measures that error
+        checked = 0
+        for trace in fault_free_traces[:3]:
+            g, err, v = trace.gamma, trace.errors, trace.noise
+            for k in range(len(g) - 2):
+                for i in np.flatnonzero(~g[k] & ~g[k + 1]):
+                    a_cl = desk_models[i].closed_loop
+                    e2 = err[k + 2, i] - a_cl @ v[k, i] - v[k + 1, i]
+                    assert np.isclose(trace.raw_priorities[k, i], e2 @ e2,
+                                      rtol=1e-9, atol=1e-15), (k, i)
+                    checked += 1
+        assert checked > 1000
 
 
 class TestQuantize:

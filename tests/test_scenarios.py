@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from priofd.errors import ConfigError
-from priofd.network import WorldState
-from priofd.scenarios import (Scenario, Event, actuator_failure, apply_events,
+from priofd.scenarios import (Scenario, Event, actuator_failure,
                               bandwidth_loss, fault_free, resolve_scenario,
                               shaken_pole)
 from priofd.simulate import run_single
+
+from oracles import ref_replay
 
 
 def test_empty_scenario_changes_nothing(desk_cfg, desk_models):
@@ -25,27 +26,32 @@ def test_empty_scenario_changes_nothing(desk_cfg, desk_models):
                                  shaken_pole(2, 40, duration=20)])
 def test_prefix_identical_to_fault_free(desk_cfg, desk_models, scn):
     base = run_single(desk_models, desk_cfg.bandwidth, desk_cfg.quant_scale,
-                      80, seed=37, run=0, keep_states=True)
+                      80, seed=37, run=0)
     faulted = run_single(desk_models, desk_cfg.bandwidth,
                          desk_cfg.quant_scale, 80, seed=37, run=0,
-                         scenario=scn, keep_states=True)
+                         scenario=scn)
     assert np.array_equal(base.states[:40], faulted.states[:40])
     assert np.array_equal(base.priorities[:40], faulted.priorities[:40])
     assert not np.array_equal(base.priorities[40:], faulted.priorities[40:])
 
 
 def test_actuator_failure_mutates_plant_only(desk_cfg, desk_models):
-    world = WorldState(desk_models, desk_cfg.bandwidth, desk_cfg.quant_scale,
-                       10, seed=0, run=0)
-    scn = actuator_failure((2, 3), 0)
-    apply_events(world, scn, 0)
-    for agent in (2, 3):
-        assert not world.plant_B[agent - 1].any()
-        assert not world.model_matched[agent - 1]
-        # shared model keeps the original input matrix
-        assert world.models[agent - 1].B.any()
-        assert world._B[agent - 1].any()
-    assert world.model_matched[0]
+    # from k=0 agents 2 and 3 run on plants without input, while every
+    # shared estimate keeps the original input matrix
+    trace = run_single(desk_models, desk_cfg.bandwidth, desk_cfg.quant_scale,
+                       40, seed=0, run=0, scenario=actuator_failure((2, 3), 0))
+    x, xhat = trace.states, trace.states - trace.errors
+    for k, _, xhat_next, x_next in ref_replay(desk_models, trace,
+                                              desk_cfg.quant_scale):
+        assert np.allclose(xhat[k + 1], xhat_next, rtol=0, atol=1e-9)
+        for i in (1, 2):
+            assert np.allclose(x[k + 1, i],
+                               desk_models[i].A @ x[k, i] + trace.noise[k, i],
+                               rtol=0, atol=1e-9)
+        healthy = [0, 3, 4, 5]
+        assert np.allclose(x[k + 1, healthy], x_next[healthy], rtol=0,
+                           atol=1e-9)
+    assert desk_models[1].B.any() and desk_models[2].B.any()
 
 
 def test_faulty_agent_error_tracks_model_mismatch(desk_cfg, desk_models):
@@ -53,8 +59,7 @@ def test_faulty_agent_error_tracks_model_mismatch(desk_cfg, desk_models):
     # after a received round equals v - B u rather than v
     scn = actuator_failure((1,), 5)
     trace = run_single(desk_models, desk_cfg.bandwidth, desk_cfg.quant_scale,
-                       60, seed=41, run=0, scenario=scn, keep_errors=True,
-                       keep_noise=True)
+                       60, seed=41, run=0, scenario=scn)
     sent = np.flatnonzero(trace.gamma[5:-1, 0]) + 5
     assert sent.size > 0
     mismatch = [not np.array_equal(trace.errors[k + 1, 0], trace.noise[k, 0])
@@ -62,19 +67,32 @@ def test_faulty_agent_error_tracks_model_mismatch(desk_cfg, desk_models):
     assert all(mismatch)
 
 
+def refused(desk_cfg, desk_models, scenario, match):
+    """run_single refuses the scenario before round 0: its events lie in
+    rounds that a 10-round run never reaches, if at all."""
+    with pytest.raises(ConfigError, match=match):
+        run_single(desk_models, desk_cfg.bandwidth, desk_cfg.quant_scale, 10,
+                   seed=0, run=0, scenario=scenario)
+
+
 def test_unknown_agent_rejected(desk_cfg, desk_models):
-    world = WorldState(desk_models, desk_cfg.bandwidth, desk_cfg.quant_scale,
-                       10, seed=0, run=0)
-    with pytest.raises(ConfigError):
-        apply_events(world, actuator_failure((99,), 0), 0)
+    refused(desk_cfg, desk_models, actuator_failure((99,), 9), "agents 1..6")
 
 
 def test_bandwidth_event_validated(desk_cfg, desk_models):
-    world = WorldState(desk_models, desk_cfg.bandwidth, desk_cfg.quant_scale,
-                       10, seed=0, run=0)
-    with pytest.raises(ConfigError):
-        apply_events(world, Scenario("x", [Event(0, "set_bandwidth",
-                                                 bandwidth=0)]), 0)
+    refused(desk_cfg, desk_models,
+            Scenario("x", [Event(9, "set_bandwidth", bandwidth=0)]),
+            "bandwidth event at k=9 must be positive")
+
+
+def test_event_after_last_round_refused(desk_cfg, desk_models):
+    refused(desk_cfg, desk_models, actuator_failure((2,), 10),
+            "outside rounds 0..9")
+
+
+def test_disturbance_covariance_shape_validated(desk_cfg, desk_models):
+    refused(desk_cfg, desk_models, shaken_pole(2, 9, n=5),
+            r"covariance shape \(5, 5\) does not match state dimension 4")
 
 
 def test_shaken_pole_saturates_priority(desk_cfg, desk_models):
@@ -85,20 +103,49 @@ def test_shaken_pole_saturates_priority(desk_cfg, desk_models):
     assert trace.priorities[52:60, 2].max() == 255
     # disturbance expires: the plant matches the model again afterwards
     follow = run_single(desk_models, desk_cfg.bandwidth, desk_cfg.quant_scale,
-                        200, seed=43, run=0, scenario=scn, keep_errors=True,
-                        keep_noise=True)
+                        200, seed=43, run=0, scenario=scn)
     late_sent = np.flatnonzero(follow.gamma[120:-1, 2]) + 120
     assert late_sent.size > 0
     for k in late_sent[-5:]:
         assert np.array_equal(follow.errors[k + 1, 2], follow.noise[k, 2])
 
 
+def test_disturbance_expiry_round_takes_plant_path(desk_cfg, desk_models):
+    # the disturbance of rounds 40..55 expires in round 56, which agent 2
+    # sends in: that round still forms e = x - xhat from the simulated
+    # plant, so e(57) equals v(56) only up to rounding; later sends take
+    # the exact reset e = v
+    trace = run_single(desk_models, desk_cfg.bandwidth, desk_cfg.quant_scale,
+                       80, seed=47, run=0, scenario=shaken_pole(2, 40, 16))
+    sends = np.flatnonzero(trace.gamma[56:-1, 1]) + 56
+    assert sends[0] == 56 and sends.size > 3
+    err, v = trace.errors[:, 1], trace.noise[:, 1]
+    assert not np.array_equal(err[57], v[56])
+    assert np.allclose(err[57], v[56], rtol=0, atol=1e-12)
+    for k in sends[1:]:
+        assert np.array_equal(err[k + 1], v[k])
+
+
+def test_second_disturbance_restarts_stream(desk_cfg, desk_models):
+    # a disturbance event on an already shaken agent draws its stream from
+    # the start again: the extra noise of round 45 repeats that of round 40
+    scn = Scenario("twice", shaken_pole(2, 40, 20).events
+                   + shaken_pole(2, 45, 20).events)
+    trace = run_single(desk_models, desk_cfg.bandwidth, desk_cfg.quant_scale,
+                       60, seed=47, run=0, scenario=scn)
+    extra = {k: trace.states[k + 1, 1] - x_next[1] for k, _, _, x_next in
+             ref_replay(desk_models, trace, desk_cfg.quant_scale)}
+    assert np.abs(extra[40]).max() > 1e-3
+    for j in range(5):
+        assert np.allclose(extra[45 + j], extra[40 + j], rtol=0, atol=1e-12)
+    assert not np.allclose(extra[41], extra[40], rtol=0, atol=1e-3)
+
+
 def test_disturbance_leaves_other_noise_untouched(desk_cfg, desk_models):
     base = run_single(desk_models, desk_cfg.bandwidth, desk_cfg.quant_scale,
-                      80, seed=47, run=0, keep_noise=True)
+                      80, seed=47, run=0)
     shaken = run_single(desk_models, desk_cfg.bandwidth, desk_cfg.quant_scale,
-                        80, seed=47, run=0, scenario=shaken_pole(2, 40, 20),
-                        keep_noise=True)
+                        80, seed=47, run=0, scenario=shaken_pole(2, 40, 20))
     assert np.array_equal(base.noise, shaken.noise)
 
 
