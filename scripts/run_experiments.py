@@ -6,8 +6,11 @@ Desk scale (default) finishes in a few minutes on one core:
 
     python scripts/run_experiments.py --outdir results/desk
 
-The full-scale study (20 agents, 10000 runs per arm) takes a few hours
-serially; use --workers on a multicore box:
+The full-scale study (20 agents, 10000 runs per arm) should take about 20
+minutes serially. That is an extrapolation: on a 2-core Intel Xeon VM with
+one BLAS thread, `--scale full --cal-runs 200 --runs 200` took 25 s (5 s of
+it calibrating), and the time grows linearly with both run counts. Use
+--workers on a multicore box:
 
     python scripts/run_experiments.py --scale full --outdir results/full
 """

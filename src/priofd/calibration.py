@@ -11,13 +11,15 @@ the dFD entries (dfd_entries).
 Thresholds are empirical percentiles of fault-free statistics. The sFD
 threshold is the 100(1-eta)th percentile of pooled window sums; each dFD
 cell (T1, T2, a) pools the period sums with that signature and tabulates,
-for every H, the 100(1-eta/H)th percentile. The percentile estimator is the
-deterministic nearest-rank order statistic
+for every H, the 100(1-eta/H)th percentile. These thresholds and the
+quantization scale's percentile are one nearest-rank order statistic
 
-    kappa = sorted_samples[ceil(level * n)]   (1-indexed)
+    kappa = sorted_samples[min(max(ceil(level * n), 1), n)]   (1-indexed)
 
-so calibration is a pure function of (config, runs, seed). Quantized sums
-are small integers, so sample multisets are stored as exact histograms.
+(the rank rule is _rank), so calibration is a pure function of (config,
+runs, seed). Quantized sums are small integers, so sample multisets are
+exact histograms; dfd_entries visits each observed (T1, T2, a) cell once
+and reads its d levels in one nearest_rank call.
 
 Samples within a run are autocorrelated; the percentile remains a
 consistent estimator of the marginal quantile, and many independent runs
@@ -34,7 +36,6 @@ and refuses a mixed one.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -120,14 +121,19 @@ class SampleBank:
         np.add.at(self.dfd_hist.reshape(-1), np.concatenate(flat), 1)
 
 
-def nearest_rank(hist: np.ndarray, level: float) -> float:
-    """Nearest-rank percentile of a histogram-backed multiset: the value of
-    the ceil(level*n)-th smallest sample (1-indexed)."""
+def _rank(level, n: int):
+    """1-indexed nearest rank of `level` (scalar or array) among n samples."""
+    return np.clip(np.ceil(np.multiply(level, n)), 1, n).astype(np.int64)
+
+
+def nearest_rank(hist: np.ndarray, level):
+    """Nearest-rank percentile of a histogram-backed multiset at one level
+    (a float) or an array of levels (a float array): the _rank-th sample."""
     n = int(hist.sum())
     if n < 1:
         raise CalibrationError("percentile of an empty sample set")
-    rank = min(max(math.ceil(level * n), 1), n)
-    return float(np.searchsorted(np.cumsum(hist), rank))
+    values = np.searchsorted(np.cumsum(hist), _rank(level, n)).astype(float)
+    return float(values) if values.ndim == 0 else values
 
 
 def _require_homogeneous(models: Sequence[AgentModel]) -> None:
@@ -173,27 +179,18 @@ def dfd_entries(cfg: SystemConfig | CalibrationConfig,
     """
     d, b, eta = bank.d, bank.b, cfg.eta
     entries = np.full((b, b, d, 2), np.inf, dtype=np.float32)
+    h = np.arange(1, d + 1)
+    levels, needed = 1.0 - eta / h, MIN_CELL_SAMPLES_FACTOR * h / eta
     counts = bank.cell_counts()
-    sparse = 0
-    for t1 in range(1, b + 1):
-        entries[t1 - 1, :t1 - 1, :, :] = np.nan
-        for t2 in range(t1, b + 1):
-            for a in (0, 1):
-                n = int(counts[t1 - 1, t2 - 1, a])
-                if n == 0:
-                    continue
-                hist = bank.dfd_hist[t1 - 1, t2 - 1, a]
-                cum = np.cumsum(hist)
-                for h in range(1, d + 1):
-                    if n < MIN_CELL_SAMPLES_FACTOR * h / eta:
-                        sparse += 1
-                        log.debug("cell (T1=%d,T2=%d,a=%d) has %d samples, "
-                                  "H=%d needs %.0f: kappa=inf",
-                                  t1, t2, a, n, h, MIN_CELL_SAMPLES_FACTOR * h / eta)
-                        continue
-                    rank = min(max(math.ceil((1.0 - eta / h) * n), 1), n)
-                    entries[t1 - 1, t2 - 1, h - 1, a] = float(
-                        np.searchsorted(cum, rank))
+    for t1, t2, a in zip(*np.nonzero(counts)):
+        thin = counts[t1, t2, a] < needed
+        entries[t1, t2, :, a] = np.where(
+            thin, np.inf, nearest_rank(bank.dfd_hist[t1, t2, a], levels))
+        if thin.any():
+            log.debug("cell (T1=%d,T2=%d,a=%d) has %d samples: kappa=inf for "
+                      "H=%s", t1 + 1, t2 + 1, a, counts[t1, t2, a], h[thin].tolist())
+    entries[np.tril_indices(b, -1)] = np.nan
+    sparse = int(np.isinf(entries).sum(axis=2)[counts > 0].sum())
     if sparse:
         log.warning("%d (cell, H) combinations undersampled, kept at +inf", sparse)
     _log_monotonicity(entries)
@@ -204,16 +201,9 @@ def _log_monotonicity(entries: np.ndarray) -> None:
     """Sanity scan (logged, not asserted): for fixed (T1, a, H), kappa should
     not decrease in T2 on well-sampled cells; longer silence admits larger
     error."""
-    b, _, d, _ = entries.shape
-    viol = 0
-    for t1 in range(b):
-        for a in (0, 1):
-            for h in range(d):
-                col = entries[t1, :, h, a]
-                ok = np.isfinite(col)
-                vals = col[ok]
-                if vals.size >= 2 and np.any(np.diff(vals) < 0):
-                    viol += 1
+    finite = np.where(np.isfinite(entries), entries, np.nan)
+    viol = int(np.any(finite < np.fmax.accumulate(finite, axis=1),
+                      axis=1).sum())
     if viol:
         log.info("monotonicity sanity: %d (T1,a,H) slices show a decreasing "
                  "kappa in T2 (statistical noise on thin cells is expected)", viol)
@@ -226,12 +216,8 @@ def write_calibration_report(bank: SampleBank, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("T1;T2;a;count\n")
         fh.write(f"0;0;0;{bank.sfd_count}\n")  # T1=0 row: sFD window sums
-        for t1 in range(1, bank.b + 1):
-            for t2 in range(t1, bank.b + 1):
-                for a in (0, 1):
-                    n = int(counts[t1 - 1, t2 - 1, a])
-                    if n:
-                        fh.write(f"{t1};{t2};{a};{n}\n")
+        for t1, t2, a in zip(*np.nonzero(counts)):
+            fh.write(f"{t1 + 1};{t2 + 1};{a};{counts[t1, t2, a]}\n")
 
 
 def fit_quantization_scale(models: Sequence[AgentModel], m: int, runs: int,
@@ -246,15 +232,15 @@ def fit_quantization_scale(models: Sequence[AgentModel], m: int, runs: int,
     headroom target.
     """
     _require_homogeneous(models)
+    if runs < 1:
+        raise CalibrationError(f"the scale fit needs runs >= 1, got {runs}")
     pool = []
     for run in range(runs):
         trace = run_single(models, m, scale=1.0, rounds=run_length, seed=seed,
                            run=run, select_on_raw=True)
         pool.append(trace.raw_priorities[warmup_discard:].ravel())
     samples = np.sort(np.concatenate(pool))
-    rank = min(max(math.ceil(SCALE_FIT_PERCENTILE * samples.size), 1),
-               samples.size)
-    p = float(samples[rank - 1])
+    p = float(samples[_rank(SCALE_FIT_PERCENTILE, samples.size) - 1])
     if p <= 0:
         raise CalibrationError("fault-free raw priorities are all zero; "
                                "cannot fit a quantization scale")

@@ -33,6 +33,7 @@ from .priority import SCALE_FIT_PERCENTILE
 log = logging.getLogger(__name__)
 
 CONFIG_VERSION = 1
+MATRICES = ("A", "B", "F_self", "F_cross", "noise_cov", "priority_weight")
 
 
 def encode_matrix(mat: np.ndarray) -> dict:
@@ -42,11 +43,34 @@ def encode_matrix(mat: np.ndarray) -> dict:
 
 
 def decode_matrix(doc: dict, name: str) -> np.ndarray:
-    rows, cols, data = int(doc["rows"]), int(doc["cols"]), doc["data"]
+    rows, cols = read_key(doc, "rows", int), read_key(doc, "cols", int)
+    data = read_key(doc, "data", lambda v: np.array(list(v), dtype=float))
     if len(data) != rows * cols:
         raise ConfigError(f"{name}: {rows}x{cols} declared but "
                           f"{len(data)} entries given")
-    return np.array(data, dtype=float).reshape(rows, cols)
+    return data.reshape(rows, cols)
+
+
+def read_key(doc: dict, key: str, cast, *default):
+    """cast(doc[key]), or cast(default) for an absent key if one is given; a
+    missing key or a value cast refuses is a ConfigError naming the key."""
+    if not isinstance(doc, dict) or (key not in doc and not default):
+        raise ConfigError(f"missing key {key!r}")
+    try:
+        return cast(doc[key] if key in doc else default[0])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"key {key!r}: {exc}") from None
+
+
+def load_json(path: str | Path, parse):
+    """parse(doc) of the JSON file at path; a missing file, invalid JSON or
+    a ConfigError from parse becomes a ConfigError naming the file."""
+    try:
+        return parse(json.loads(Path(path).read_text()))
+    except FileNotFoundError:
+        raise ConfigError(f"file not found: {path}") from None
+    except (json.JSONDecodeError, ConfigError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def check_run(eta: float, d: int, b: int, rounds: int,
@@ -86,8 +110,7 @@ class SystemConfig:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for attr in ("A", "B", "F_self", "F_cross", "noise_cov",
-                     "priority_weight"):
+        for attr in MATRICES:
             setattr(self, attr, np.asarray(getattr(self, attr), dtype=float))
 
     @property
@@ -141,9 +164,7 @@ class SystemConfig:
             "name": self.name,
             "n_agents": self.n_agents,
             "bandwidth": self.bandwidth,
-            "matrices": {k: encode_matrix(getattr(self, k))
-                         for k in ("A", "B", "F_self", "F_cross",
-                                   "noise_cov", "priority_weight")},
+            "matrices": {k: encode_matrix(getattr(self, k)) for k in MATRICES},
             "quant_scale": self.quant_scale,
             "detector": {"eta": self.eta, "d": self.d, "b": self.b},
             "run": {"rounds": self.rounds,
@@ -154,28 +175,21 @@ class SystemConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SystemConfig":
-        if doc.get("version") != CONFIG_VERSION:
-            raise ConfigError(f"unsupported config version {doc.get('version')}")
-        mats = doc["matrices"]
-        det = doc["detector"]
-        run = doc["run"]
+        if read_key(doc, "version", int) != CONFIG_VERSION:
+            raise ConfigError(f"unsupported config version {doc['version']}")
+        mats = read_key(doc, "matrices", dict)
+        det, run = read_key(doc, "detector", dict), read_key(doc, "run", dict)
         return cls(
-            name=doc["name"], n_agents=int(doc["n_agents"]),
-            bandwidth=int(doc["bandwidth"]),
-            A=decode_matrix(mats["A"], "A"),
-            B=decode_matrix(mats["B"], "B"),
-            F_self=decode_matrix(mats["F_self"], "F_self"),
-            F_cross=decode_matrix(mats["F_cross"], "F_cross"),
-            noise_cov=decode_matrix(mats["noise_cov"], "noise_cov"),
-            priority_weight=decode_matrix(mats["priority_weight"],
-                                          "priority_weight"),
-            quant_scale=(None if doc["quant_scale"] is None
-                         else float(doc["quant_scale"])),
-            eta=float(det["eta"]), d=int(det["d"]), b=int(det["b"]),
-            rounds=int(run["rounds"]),
-            warmup_discard=int(run["warmup_discard"]),
-            allow_unstable=bool(doc.get("allow_unstable", False)),
-            provenance=dict(doc.get("provenance", {})),
+            name=read_key(doc, "name", str), n_agents=read_key(doc, "n_agents", int),
+            bandwidth=read_key(doc, "bandwidth", int),
+            **{k: decode_matrix(read_key(mats, k, dict), k) for k in MATRICES},
+            quant_scale=read_key(doc, "quant_scale",
+                                 lambda v: None if v is None else float(v)),
+            eta=read_key(det, "eta", float), d=read_key(det, "d", int),
+            b=read_key(det, "b", int), rounds=read_key(run, "rounds", int),
+            warmup_discard=read_key(run, "warmup_discard", int),
+            allow_unstable=read_key(doc, "allow_unstable", bool, False),
+            provenance=read_key(doc, "provenance", dict, {}),
         )
 
     def save(self, path: str | Path) -> None:
@@ -184,11 +198,7 @@ class SystemConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "SystemConfig":
-        try:
-            doc = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        cfg = cls.from_dict(doc)
+        cfg = load_json(path, cls.from_dict)
         cfg.validate()
         return cfg
 

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import load_json, read_key
 from .errors import ConfigError
 
 
@@ -48,15 +49,15 @@ class Event:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Event":
-        kind = d["kind"]
+        kind = read_key(d, "kind", str)
         if kind not in ("set_B_zero", "set_bandwidth", "add_disturbance"):
             raise ConfigError(f"unknown scenario mutation {kind!r}")
-        return cls(k=int(d["k"]), kind=kind,
-                   agents=tuple(int(a) for a in d.get("agents", ())),
-                   bandwidth=int(d.get("bandwidth", 0)),
-                   covariance=tuple(tuple(float(x) for x in row)
-                                    for row in d.get("covariance", ())),
-                   duration=int(d.get("duration", 0)))
+        return cls(k=read_key(d, "k", int), kind=kind,
+                   agents=read_key(d, "agents", lambda v: tuple(map(int, v)), ()),
+                   bandwidth=read_key(d, "bandwidth", int, 0),
+                   covariance=read_key(d, "covariance", lambda v: tuple(
+                       tuple(map(float, row)) for row in v), ()),
+                   duration=read_key(d, "duration", int, 0))
 
 
 @dataclass
@@ -94,8 +95,8 @@ class Scenario:
 
     @classmethod
     def load(cls, path: str | Path) -> "Scenario":
-        doc = json.loads(Path(path).read_text())
-        return cls(doc["name"], [Event.from_dict(e) for e in doc["events"]])
+        return load_json(path, lambda doc: cls(read_key(doc, "name", str), [
+            Event.from_dict(e) for e in read_key(doc, "events", list)]))
 
 
 def fault_free() -> Scenario:

@@ -95,6 +95,8 @@ def run_single(models: Sequence[AgentModel], m: int, scale: float,
     for ev in scenario.events:
         if ev.kind == "set_bandwidth" and ev.bandwidth <= 0:
             raise ConfigError(f"bandwidth event at k={ev.k} must be positive")
+        if ev.kind == "add_disturbance" and ev.duration < 1:
+            raise ConfigError(f"disturbance at k={ev.k} has duration {ev.duration} < 1")
         if ev.kind == "add_disturbance" and np.shape(ev.covariance) != (n, n):
             raise ConfigError(
                 f"disturbance covariance shape {np.shape(ev.covariance)} does "

@@ -1,17 +1,21 @@
+import logging
+import math
+import tempfile
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from priofd.calibration import (CalibrationConfig, SampleBank, calibrate,
                                 dfd_entries, fit_quantization_scale,
                                 nearest_rank, write_calibration_report)
 from priofd.dynamics import AgentModel
 from priofd.errors import CalibrationError, ConfigError
-from priofd.priority import SCALE_FIT_PERCENTILE, quantize_batch
+from priofd.priority import QUANT_MAX, SCALE_FIT_PERCENTILE, quantize_batch
 
 from oracles import ExactToy, ToyLaw, brute_window_periods
 
@@ -35,6 +39,12 @@ class TestNearestRank:
         h = hist_of([1, 2, 3], top=10)
         assert nearest_rank(h, 0.0001) == 1.0
         assert nearest_rank(h, 0.9999) == 3.0
+
+    def test_array_of_levels(self):
+        h = hist_of(range(1, 1001), top=1100)
+        assert type(nearest_rank(h, 0.99)) is float
+        assert nearest_rank(h, np.array([0.0001, 0.5, 0.99])).tolist() == \
+            [1.0, 500.0, 990.0]
 
     def test_empty_refused(self):
         with pytest.raises(CalibrationError):
@@ -203,6 +213,69 @@ class TestDfdEntries:
                 checked += 1
         assert checked >= 4
 
+    @given(d=st.integers(1, 4), b=st.integers(1, 5),
+           eta=st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.5]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_random_banks_match_sorted_samples(self, caplog, d, b, eta, seed):
+        """Every entry of a bank filled directly with random counts is the
+        nearest-rank value of its cell's sorted samples, +inf below the
+        20*H/eta guard and NaN exactly where T1 > T2; the logged counts and
+        the coverage report agree with direct scans of the same samples."""
+        rng = np.random.default_rng(seed)
+        bank = SampleBank(d, b)
+        span = min(40, QUANT_MAX * d + 1)
+        samples = {}
+        for t1 in range(1, b + 1):
+            for t2 in range(t1, b + 1):
+                for a in (0, 1):
+                    guard = math.ceil(20 * int(rng.integers(1, d + 1)) / eta)
+                    n = int(rng.choice([0, guard - 1, guard, guard + 7,
+                                        rng.integers(1, 3 * guard)]))
+                    vals = sorted(rng.integers(0, span, n).tolist())
+                    samples[t1, t2, a] = vals
+                    bank.dfd_hist[t1 - 1, t2 - 1, a] = np.bincount(
+                        vals, minlength=bank.dfd_hist.shape[-1])
+        bank.sfd_hist[:span] = rng.integers(0, 5, span)
+
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="priofd.calibration"):
+            entries = dfd_entries(CalibrationConfig(eta=eta, d=d, b=b), bank)
+
+        want = np.full((b, b, d, 2), np.nan)
+        for (t1, t2, a), vals in samples.items():
+            n = len(vals)
+            for h in range(1, d + 1):
+                if n < 20 * h / eta:
+                    want[t1 - 1, t2 - 1, h - 1, a] = math.inf
+                else:
+                    rank = min(max(math.ceil((1 - eta / h) * n), 1), n)
+                    want[t1 - 1, t2 - 1, h - 1, a] = vals[rank - 1]
+        assert np.array_equal(entries, want, equal_nan=True)
+
+        sparse = sum(1 for (t1, t2, a), vals in samples.items() if vals
+                     for h in range(1, d + 1) if len(vals) < 20 * h / eta)
+        slices = 0
+        for t1 in range(b):
+            for a in (0, 1):
+                for h in range(d):
+                    col = [x for x in want[t1, :, h, a] if math.isfinite(x)]
+                    slices += any(y < x for x, y in zip(col, col[1:]))
+        logged = caplog.text
+        assert (f"{sparse} (cell, H) combinations undersampled" in logged
+                if sparse else "undersampled" not in logged)
+        assert (f"monotonicity sanity: {slices} " in logged
+                if slices else "monotonicity sanity" not in logged)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "report.csv"
+            write_calibration_report(bank, path)
+            rows = path.read_text().splitlines()
+        assert rows == ["T1;T2;a;count", f"0;0;0;{bank.sfd_count}"] + [
+            f"{t1};{t2};{a};{len(vals)}"
+            for (t1, t2, a), vals in sorted(samples.items()) if vals]
+
 
 class TestScaleFit:
     def test_deterministic_and_headroom(self, desk_cfg, desk_models):
@@ -221,6 +294,11 @@ class TestScaleFit:
         samples = np.sort(np.concatenate(pool))
         p999 = samples[int(np.ceil(SCALE_FIT_PERCENTILE * samples.size)) - 1]
         assert quantize_batch(p999, s1) in (199, 200)
+
+    def test_no_runs_refused(self, desk_models):
+        with pytest.raises(CalibrationError, match="runs >= 1, got 0"):
+            fit_quantization_scale(desk_models, 2, runs=0, run_length=100,
+                                   seed=0, warmup_discard=20)
 
     def test_heterogeneous_fleet_refused(self, desk_cfg, desk_models):
         odd = desk_models[:]

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -305,3 +306,43 @@ class TestCli:
                      "-o", str(other_cfg)]) == 0
         assert main(["run", "--config", str(other_cfg), "--table", str(table),
                      "--runs", "2", "--out", str(tmp_path / "x")]) == 2
+
+    def test_scale_fit_without_runs_is_refused(self, tmp_path, capsys):
+        assert main(["make-config", "--scale-fit-runs", "0",
+                     "-o", str(tmp_path / "c.json")]) == 2
+        assert "runs >= 1, got 0" in capsys.readouterr().err
+
+    def test_config_without_matrices_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"version": 1, "name": "x"}')
+        assert main(["calibrate", "--config", str(cfg),
+                     "-o", str(tmp_path / "t.pfdt")]) == 2
+        assert f"{cfg}: missing key 'matrices'" in capsys.readouterr().err
+
+    def test_config_that_is_not_json_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{not json")
+        assert main(["calibrate", "--config", str(cfg),
+                     "-o", str(tmp_path / "t.pfdt")]) == 2
+        assert f"error: {cfg}: " in capsys.readouterr().err
+
+    def test_config_field_of_wrong_type_is_refused(self, artifacts, tmp_path,
+                                                   capsys):
+        _, cfg, _ = artifacts
+        doc = json.loads(cfg.read_text())
+        doc["detector"]["d"] = [10]
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["calibrate", "--config", str(bad),
+                     "-o", str(tmp_path / "t.pfdt")]) == 2
+        assert f"{bad}: key 'd': " in capsys.readouterr().err
+
+    def test_scenario_event_without_kind_is_refused(self, artifacts, tmp_path,
+                                                    capsys):
+        _, cfg, table = artifacts
+        scenario = tmp_path / "scn.json"
+        scenario.write_text('{"name": "x", "events": [{"k": 100}]}')
+        assert main(["run", "--config", str(cfg), "--table", str(table),
+                     "--scenario", str(scenario), "--runs", "1",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert f"{scenario}: missing key 'kind'" in capsys.readouterr().err

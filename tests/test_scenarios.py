@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from priofd.errors import ConfigError
+from priofd.harness import run_batch
 from priofd.scenarios import (Scenario, Event, actuator_failure,
                               bandwidth_loss, fault_free, resolve_scenario,
                               shaken_pole)
@@ -93,6 +94,17 @@ def test_event_after_last_round_refused(desk_cfg, desk_models):
 def test_disturbance_covariance_shape_validated(desk_cfg, desk_models):
     refused(desk_cfg, desk_models, shaken_pole(2, 9, n=5),
             r"covariance shape \(5, 5\) does not match state dimension 4")
+
+
+@pytest.mark.parametrize("duration", [0, -5])
+def test_disturbance_duration_validated(desk_cfg, desk_models, small_table,
+                                        duration):
+    refused(desk_cfg, desk_models, shaken_pole(2, 9, duration=duration),
+            f"disturbance at k=9 has duration {duration} < 1")
+    with pytest.raises(ConfigError,
+                       match=f"disturbance at k=100 has duration {duration}"):
+        run_batch(desk_cfg, shaken_pole(2, 100, duration=duration),
+                  small_table, runs=1, seed=1)
 
 
 def test_shaken_pole_saturates_priority(desk_cfg, desk_models):
