@@ -2,15 +2,16 @@
 """End-to-end experiment driver: calibrate once, then run the fault-free
 baseline and both fault scenarios, writing all CSV artifacts per arm.
 
-Desk scale (default) finishes in a few minutes on one core:
+Desk scale (default) took 16 s on one core of a 2-core Intel Xeon VM
+with one BLAS thread:
 
     python scripts/run_experiments.py --outdir results/desk
 
-The full-scale study (20 agents, 10000 runs per arm) should take about 20
-minutes serially. That is an extrapolation: on a 2-core Intel Xeon VM with
-one BLAS thread, `--scale full --cal-runs 200 --runs 200` took 25 s (5 s of
-it calibrating), and the time grows linearly with both run counts. Use
---workers on a multicore box:
+The full-scale study (20 agents, 10000 runs per arm) should take about 3.5
+minutes serially. That is an extrapolation: on the same VM,
+`--scale full --cal-runs 200 --runs 200` took 4.5 s (0.9 s of it
+calibrating, about 1 s per arm), and the time grows linearly with both run
+counts. Use --workers on a multicore box:
 
     python scripts/run_experiments.py --scale full --outdir results/full
 """

@@ -14,6 +14,6 @@ from .harness import (AggregateReport, RunRecord, emit_csv, parse_run_record,
                       run_batch)
 from .network import ScheduleHistory, select_senders
 from .scenarios import Scenario, resolve_scenario
-from .simulate import RunTrace, run_single
+from .simulate import RunTrace, run_lockstep, run_single
 
 __version__ = "0.1.0"

@@ -2,7 +2,8 @@
 
 calibrate(cfg, runs, seed) is the one entry point. It simulates `runs`
 fault-free runs of the fleet a SystemConfig describes, with noise keyed on
-(seed, run), and bins every window sum and period sum at rounds >=
+(seed, run), in lockstep chunks (simulate.run_lockstep), and bins run by
+run, in run order, every window sum and period sum at rounds >=
 cfg.warmup_discard into a SampleBank. Models, bandwidth, quantization
 scale, eta, d, b and the run length all come from cfg. It then refuses a
 bank too thin for the sFD percentile, takes that percentile, and tabulates
@@ -47,7 +48,9 @@ from .errors import CalibrationError, ConfigError
 from .fd_dynamic import ThresholdTable, window_periods
 from .fd_static import window_sums
 from .priority import QUANT_MAX, SCALE_FIT_PERCENTILE, SCALE_HEADROOM_TARGET
-from .simulate import run_single
+from .simulate import chunks, run_lockstep
+# perfbench wraps run_single here; a benchmark-only change moves that to run_lockstep
+from .simulate import run_single  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -153,9 +156,9 @@ def calibrate(cfg: SystemConfig, runs: int,
     cfg.validate()
     models, m, scale = cfg.models(), cfg.bandwidth, cfg.require_scale()
     bank = SampleBank(cfg.d, cfg.b)
-    for run in range(runs):
-        trace = run_single(models, m, scale, cfg.rounds, seed, run)
-        bank.add_trace(trace.gamma, trace.priorities, cfg.warmup_discard)
+    for chunk in chunks(runs):
+        for trace in run_lockstep(models, m, scale, cfg.rounds, seed, chunk):
+            bank.add_trace(trace.gamma, trace.priorities, cfg.warmup_discard)
     n = bank.sfd_count
     needed = MIN_SFD_SAMPLES_FACTOR / cfg.eta
     if n < needed:
@@ -234,11 +237,10 @@ def fit_quantization_scale(models: Sequence[AgentModel], m: int, runs: int,
     _require_homogeneous(models)
     if runs < 1:
         raise CalibrationError(f"the scale fit needs runs >= 1, got {runs}")
-    pool = []
-    for run in range(runs):
-        trace = run_single(models, m, scale=1.0, rounds=run_length, seed=seed,
-                           run=run, select_on_raw=True)
-        pool.append(trace.raw_priorities[warmup_discard:].ravel())
+    pool = [trace.raw_priorities[warmup_discard:].ravel()
+            for chunk in chunks(runs)
+            for trace in run_lockstep(models, m, 1.0, run_length, seed, chunk,
+                                      select_on_raw=True)]
     samples = np.sort(np.concatenate(pool))
     p = float(samples[_rank(SCALE_FIT_PERCENTILE, samples.size) - 1])
     if p <= 0:

@@ -43,8 +43,11 @@ def encode_matrix(mat: np.ndarray) -> dict:
 
 
 def decode_matrix(doc: dict, name: str) -> np.ndarray:
-    rows, cols = read_key(doc, "rows", int), read_key(doc, "cols", int)
-    data = read_key(doc, "data", lambda v: np.array(list(v), dtype=float))
+    try:
+        rows, cols = read_key(doc, "rows", int), read_key(doc, "cols", int)
+        data = read_key(doc, "data", lambda v: np.array(list(v), dtype=float))
+    except ConfigError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
     if len(data) != rows * cols:
         raise ConfigError(f"{name}: {rows}x{cols} declared but "
                           f"{len(data)} entries given")
@@ -182,7 +185,8 @@ class SystemConfig:
         return cls(
             name=read_key(doc, "name", str), n_agents=read_key(doc, "n_agents", int),
             bandwidth=read_key(doc, "bandwidth", int),
-            **{k: decode_matrix(read_key(mats, k, dict), k) for k in MATRICES},
+            **{k: decode_matrix(read_key(mats, k, dict), f"matrices.{k}")
+               for k in MATRICES},
             quant_scale=read_key(doc, "quant_scale",
                                  lambda v: None if v is None else float(v)),
             eta=read_key(det, "eta", float), d=read_key(det, "d", int),

@@ -21,7 +21,9 @@ from .errors import ConfigError
 from .fd_dynamic import ThresholdTable, dfd_verdicts
 from .fd_static import sfd_verdicts
 from .scenarios import Scenario, fault_free
-from .simulate import run_single
+from .simulate import chunks, run_lockstep
+# perfbench wraps run_single here; a benchmark-only change moves that to run_lockstep
+from .simulate import run_single  # noqa: F401
 
 
 @dataclass
@@ -71,19 +73,21 @@ class AggregateReport:
         return float(pre[agent - 1]), float(post[agent - 1])
 
 
-def _one_run(models, m, scale, rounds, seed, scenario, table, run):
-    """One run's record and squared error norms: all that run_batch reads
-    of it, and all that a worker process sends back."""
-    trace = run_single(models, m, scale, rounds, seed, run,
-                       scenario=scenario)
-    n_agents = trace.gamma.shape[1]
-    sfd = np.stack([sfd_verdicts(trace.priorities[:, i], table.sfd_kappa,
-                                 table.d)
-                    for i in range(n_agents)], axis=1)
-    dfd = np.stack([dfd_verdicts(trace.gamma[:, i], trace.priorities[:, i],
-                                 table) for i in range(n_agents)], axis=1)
-    return (RunRecord(run, seed, trace.gamma, trace.priorities, sfd, dfd,
-                      trace.states), trace.err_sq)
+def _run_chunk(models, m, scale, rounds, seed, scenario, table, chunk):
+    """Each run's record and squared error norms, in run order: all that
+    run_batch reads of a chunk, and all that a worker process sends back."""
+    out = []
+    for run, trace in zip(chunk, run_lockstep(models, m, scale, rounds, seed,
+                                              chunk, scenario=scenario)):
+        n_agents = trace.gamma.shape[1]
+        sfd = np.stack([sfd_verdicts(trace.priorities[:, i], table.sfd_kappa,
+                                     table.d)
+                        for i in range(n_agents)], axis=1)
+        dfd = np.stack([dfd_verdicts(trace.gamma[:, i], trace.priorities[:, i],
+                                     table) for i in range(n_agents)], axis=1)
+        out.append((RunRecord(run, seed, trace.gamma, trace.priorities, sfd,
+                              dfd, trace.states), trace.err_sq))
+    return out
 
 
 class _Tally:
@@ -182,22 +186,22 @@ def run_batch(cfg: SystemConfig, scenario: Scenario | None,
                    band_agent, band_component)
 
     models = cfg.models()
-    worker = partial(_one_run, models, cfg.bandwidth, cfg.require_scale(),
+    worker = partial(_run_chunk, models, cfg.bandwidth, cfg.require_scale(),
                      rounds, seed, scenario, table)
     err_sq_sum = np.zeros((rounds, n_agents))
     records: list[RunRecord] = []
 
     if workers > 1:
         pool = ProcessPoolExecutor(max_workers=workers)
-        results = pool.map(worker, range(runs), chunksize=max(1, runs // (8 * workers)))
+        results = pool.map(worker, chunks(runs, parts=4 * workers))
     else:
         pool = None
-        results = map(worker, range(runs))
+        results = map(worker, chunks(runs))
     try:
-        for run, (rec, err_sq) in enumerate(results):
-            tally.add(run, rec.sfd, rec.dfd, rec.states)
+        for rec, err_sq in (out for chunk in results for out in chunk):
+            tally.add(rec.run, rec.sfd, rec.dfd, rec.states)
             err_sq_sum += err_sq
-            if run < record_runs:
+            if rec.run < record_runs:
                 records.append(rec)
     finally:
         if pool is not None:

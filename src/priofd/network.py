@@ -1,11 +1,12 @@
 """The network side of the protocol: which agents transmit, and the
 communication record an online dFD observer keeps.
 
-select_senders is the one home of the selection rule: the M highest
-priorities win, ties to the lower agent id. The round engine
-(simulate.run_single) applies it every round to elect the senders two
-rounds ahead. ScheduleHistory keeps one agent's communication rounds for
-the per-update dFD (fd_dynamic.dfd_evaluate).
+top_m is the one home of the selection rule: the M highest priorities
+win, ties to the lower agent id. The round engine (simulate.run_lockstep)
+applies it every round, to every run of a chunk at once, to elect the
+senders two rounds ahead; select_senders is the same rule on one round's
+priorities, returning agent ids. ScheduleHistory keeps one agent's
+communication rounds for the per-update dFD (fd_dynamic.dfd_evaluate).
 """
 
 from __future__ import annotations
@@ -58,10 +59,16 @@ class ScheduleHistory:
         return out
 
 
-def select_senders(priorities: np.ndarray | Sequence[float], m: int) -> tuple[int, ...]:
-    """Ids of the min(m, N) agents with the highest priorities, given the
-    values of agents 1..N in order. Ties break by ascending agent id."""
+def top_m(priorities: np.ndarray, m: int) -> np.ndarray:
+    """Indices of the min(m, N) highest priorities along the last axis,
+    highest first, ties to the lower index."""
     if m <= 0:
         raise ConfigError(f"bandwidth M must be positive, got {m}")
     p = np.asarray(priorities)
-    return tuple((np.argsort(-p, kind="stable")[:min(m, p.size)] + 1).tolist())
+    return np.argsort(-p, axis=-1, kind="stable")[..., :min(m, p.shape[-1])]
+
+
+def select_senders(priorities: np.ndarray | Sequence[float], m: int) -> tuple[int, ...]:
+    """Ids of the min(m, N) agents with the highest priorities, given the
+    values of agents 1..N in order. Ties break by ascending agent id."""
+    return tuple((top_m(priorities, m) + 1).tolist())

@@ -1,7 +1,7 @@
 """Declarative fault and disturbance injection.
 
 A scenario is a list of (round, mutation) events; the round engine
-(simulate.run_single) applies them at the start of the named round.
+(simulate.run_lockstep) applies them at the start of the named round.
 Mutations touch only the plant and the network: an actuator failure zeroes
 B in the plant while every estimator keeps the original model (this
 mismatch is what the detectors must pick up), a bandwidth change alters M
@@ -80,8 +80,12 @@ class Scenario:
         return tuple(sorted(set(out)))
 
     def check_fits(self, rounds: int, n_agents: int) -> None:
-        """Refuse events that a run of this length and fleet never applies."""
+        """Refuse events that a run of this length and fleet never applies,
+        and plant events that name no agent."""
         for ev in self.events:
+            if ev.kind != "set_bandwidth" and not ev.agents:
+                raise ConfigError(f"scenario {self.name!r}: {ev.kind} event "
+                                  f"at k={ev.k} names no agent")
             if not (0 <= ev.k < rounds
                     and all(1 <= a <= n_agents for a in ev.agents)):
                 raise ConfigError(

@@ -3,7 +3,7 @@ import pytest
 
 from priofd.calibration import calibrate
 from priofd.config import build_preset
-from priofd.simulate import run_single
+from priofd.simulate import run_lockstep
 
 
 @pytest.fixture(scope="session")
@@ -27,8 +27,8 @@ def small_table(desk_cfg):
 @pytest.fixture(scope="session")
 def fault_free_traces(desk_cfg, desk_models):
     """Thirty fault-free desk-scale runs."""
-    return [run_single(desk_models, desk_cfg.bandwidth, desk_cfg.quant_scale,
-                       desk_cfg.rounds, seed=11, run=r) for r in range(30)]
+    return run_lockstep(desk_models, desk_cfg.bandwidth, desk_cfg.quant_scale,
+                        desk_cfg.rounds, seed=11, runs=range(30))
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from priofd.fd_static import StaticDetector
 from priofd.harness import emit_csv, run_batch
 from priofd.network import ScheduleHistory
 from priofd.scenarios import actuator_failure, bandwidth_loss
-from priofd.simulate import run_single
+from priofd.simulate import run_lockstep, run_single
 
 from oracles import ExactToy, brute_partition
 
@@ -61,8 +61,8 @@ def scn1_report(desk_cfg, acc_table):
 
 @pytest.fixture(scope="module")
 def traces100(desk_cfg, desk_models):
-    return [run_single(desk_models, desk_cfg.bandwidth, desk_cfg.quant_scale,
-                       desk_cfg.rounds, seed=5000, run=r) for r in range(100)]
+    return run_lockstep(desk_models, desk_cfg.bandwidth, desk_cfg.quant_scale,
+                        desk_cfg.rounds, seed=5000, runs=range(100))
 
 
 def test_criterion_01_sfd_false_positive_self_consistency(heldout):

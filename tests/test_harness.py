@@ -319,6 +319,24 @@ class TestCli:
                      "-o", str(tmp_path / "t.pfdt")]) == 2
         assert f"{cfg}: missing key 'matrices'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("rows", None), ("cols", "four"),
+                                           ("data", 3.0)])
+    def test_matrix_field_is_named_with_its_matrix(self, artifacts, tmp_path,
+                                                   capsys, key, value):
+        _, cfg, _ = artifacts
+        doc = json.loads(cfg.read_text())
+        if value is None:
+            del doc["matrices"]["B"][key]
+        else:
+            doc["matrices"]["B"][key] = value
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["calibrate", "--config", str(bad),
+                     "-o", str(tmp_path / "t.pfdt")]) == 2
+        want = (f"{bad}: matrices.B: missing key 'rows'" if value is None
+                else f"{bad}: matrices.B: key '{key}': ")
+        assert want in capsys.readouterr().err
+
     def test_config_that_is_not_json_is_refused(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -346,3 +364,18 @@ class TestCli:
                      "--scenario", str(scenario), "--runs", "1",
                      "--out", str(tmp_path / "x")]) == 2
         assert f"{scenario}: missing key 'kind'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["set_B_zero", "add_disturbance"])
+    def test_plant_event_without_agents_is_refused(self, artifacts, tmp_path,
+                                                   capsys, kind):
+        _, cfg, table = artifacts
+        scenario = tmp_path / "scn.json"
+        scenario.write_text(json.dumps({"name": "x", "events": [
+            {"k": 100, "kind": kind, "agents": [], "duration": 5,
+             "covariance": np.eye(4).tolist()}]}))
+        assert main(["run", "--config", str(cfg), "--table", str(table),
+                     "--scenario", str(scenario), "--runs", "2",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert f"{kind} event at k=100 names no agent" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "x").exists()

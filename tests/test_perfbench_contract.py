@@ -128,15 +128,16 @@ def test_calibrate_looks_up_traced_layers_in_its_module(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(calibration, "run_single",
-                        count("run_single", calibration.run_single))
+    monkeypatch.setattr(calibration, "run_lockstep",
+                        count("run_lockstep", calibration.run_lockstep))
     monkeypatch.setattr(SampleBank, "add_trace",
                         count("add_trace", SampleBank.add_trace))
     monkeypatch.setattr(calibration, "dfd_entries",
                         count("dfd_entries", calibration.dfd_entries))
     cfg = replace(SystemConfig.load(DESK_CONFIG), eta=0.5, rounds=60)
     table, _ = calibration.calibrate(cfg, runs=4, seed=1)
-    assert calls == {"run_single": 4, "add_trace": 4, "dfd_entries": 1}
+    # the 4 runs are one lockstep chunk, binned run by run
+    assert calls == {"run_lockstep": 1, "add_trace": 4, "dfd_entries": 1}
     assert np.isfinite(table.sfd_kappa)
 
 

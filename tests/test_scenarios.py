@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,20 @@ def test_disturbance_duration_validated(desk_cfg, desk_models, small_table,
     with pytest.raises(ConfigError,
                        match=f"disturbance at k=100 has duration {duration}"):
         run_batch(desk_cfg, shaken_pole(2, 100, duration=duration),
+                  small_table, runs=1, seed=1)
+
+
+@pytest.mark.parametrize("event", [
+    Event(9, "set_B_zero"),
+    dataclasses.replace(shaken_pole(2, 9).events[0], agents=())])
+def test_plant_event_without_agents_refused(desk_cfg, desk_models,
+                                            small_table, event):
+    # an actuator failure or disturbance on no agent changes nothing, yet
+    # a report would put pre/post rates around its round
+    refused(desk_cfg, desk_models, Scenario("x", [event]),
+            f"{event.kind} event at k=9 names no agent")
+    with pytest.raises(ConfigError, match="names no agent"):
+        run_batch(desk_cfg, Scenario("x", [dataclasses.replace(event, k=100)]),
                   small_table, runs=1, seed=1)
 
 
