@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,8 +45,10 @@ def encode_matrix(mat: np.ndarray) -> dict:
 
 def decode_matrix(doc: dict, name: str) -> np.ndarray:
     try:
-        rows, cols = read_key(doc, "rows", int), read_key(doc, "cols", int)
-        data = read_key(doc, "data", lambda v: np.array(list(v), dtype=float))
+        rows = read_key(doc, "rows", dimension)
+        cols = read_key(doc, "cols", dimension)
+        data = read_key(doc, "data",
+                        lambda v: np.array([finite(x) for x in v], dtype=float))
     except ConfigError as exc:
         raise ConfigError(f"{name}: {exc}") from None
     if len(data) != rows * cols:
@@ -61,8 +64,34 @@ def read_key(doc: dict, key: str, cast, *default):
         raise ConfigError(f"missing key {key!r}")
     try:
         return cast(doc[key] if key in doc else default[0])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"key {key!r}: {exc}") from None
+
+
+def integer(value) -> int:
+    """A JSON integer, or a float with an integral value; refuses booleans
+    and fractions, which int() would silently accept or truncate."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def dimension(value) -> int:
+    """A matrix dimension: an integer >= 1."""
+    n = integer(value)
+    if n < 1:
+        raise ValueError(f"expected a dimension >= 1, got {n}")
+    return n
+
+
+def finite(value) -> float:
+    """A finite JSON number; refuses booleans, strings, NaN and infinities."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
 
 
 def load_json(path: str | Path, parse):
@@ -178,20 +207,22 @@ class SystemConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SystemConfig":
-        if read_key(doc, "version", int) != CONFIG_VERSION:
+        if read_key(doc, "version", integer) != CONFIG_VERSION:
             raise ConfigError(f"unsupported config version {doc['version']}")
         mats = read_key(doc, "matrices", dict)
         det, run = read_key(doc, "detector", dict), read_key(doc, "run", dict)
         return cls(
-            name=read_key(doc, "name", str), n_agents=read_key(doc, "n_agents", int),
-            bandwidth=read_key(doc, "bandwidth", int),
+            name=read_key(doc, "name", str),
+            n_agents=read_key(doc, "n_agents", integer),
+            bandwidth=read_key(doc, "bandwidth", integer),
             **{k: decode_matrix(read_key(mats, k, dict), f"matrices.{k}")
                for k in MATRICES},
             quant_scale=read_key(doc, "quant_scale",
-                                 lambda v: None if v is None else float(v)),
-            eta=read_key(det, "eta", float), d=read_key(det, "d", int),
-            b=read_key(det, "b", int), rounds=read_key(run, "rounds", int),
-            warmup_discard=read_key(run, "warmup_discard", int),
+                                 lambda v: None if v is None else finite(v)),
+            eta=read_key(det, "eta", finite), d=read_key(det, "d", integer),
+            b=read_key(det, "b", integer),
+            rounds=read_key(run, "rounds", integer),
+            warmup_discard=read_key(run, "warmup_discard", integer),
             allow_unstable=read_key(doc, "allow_unstable", bool, False),
             provenance=read_key(doc, "provenance", dict, {}),
         )

@@ -24,8 +24,7 @@ persisted in the config. All downstream code consumes only numeric gains.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_discrete_are
-from scipy.signal import cont2discrete
+from scipy.linalg import expm, solve_discrete_are
 
 CART_MASS = 0.57
 POLE_MASS = 0.23
@@ -34,12 +33,9 @@ GRAVITY = 9.81
 ROUND_PERIOD = 0.1  # 10 Hz communication rounds
 
 
-def cartpole_continuous(cart_mass: float = CART_MASS,
-                        pole_mass: float = POLE_MASS,
-                        pole_length: float = POLE_LENGTH,
-                        gravity: float = GRAVITY) -> tuple[np.ndarray, np.ndarray]:
+def cartpole_continuous() -> tuple[np.ndarray, np.ndarray]:
     """Continuous-time (A, B) of the cart-pole linearized about upright."""
-    mc, mp, ell, g = cart_mass, pole_mass, pole_length, gravity
+    mc, mp, ell, g = CART_MASS, POLE_MASS, POLE_LENGTH, GRAVITY
     a = np.zeros((4, 4))
     a[0, 2] = 1.0
     a[1, 3] = 1.0
@@ -51,10 +47,13 @@ def cartpole_continuous(cart_mass: float = CART_MASS,
     return a, b
 
 
-def discretize_zoh(a: np.ndarray, b: np.ndarray, dt: float = ROUND_PERIOD) -> tuple[np.ndarray, np.ndarray]:
-    n = a.shape[0]
-    ad, bd, *_ = cont2discrete((a, b, np.eye(n), np.zeros_like(b)), dt, method="zoh")
-    return ad, bd
+def discretize_zoh(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-order hold over one round: the [:n, :n] and [:n, n:] blocks of
+    expm(ROUND_PERIOD * [[a, b], [0, 0]])."""
+    n, m = b.shape
+    em = np.block([[a, b], [np.zeros((m, n + m))]])
+    ms = expm(ROUND_PERIOD * em)
+    return ms[:n, :n], ms[:n, n:]
 
 
 def sync_lqr_gains(a: np.ndarray, b: np.ndarray, n_agents: int,

@@ -101,7 +101,7 @@ class _Tally:
                  monitored: int, band_agent: int, band_component: int):
         if runs < 1:
             raise ConfigError("runs must be >= 1")
-        scenario.check_fits(rounds, n_agents)
+        scenario.check_fits(rounds, n_agents, cfg.n)
         k_event = scenario.first_event_round
         if k_event is not None and k_event <= cfg.warmup_discard:
             raise ConfigError(
@@ -168,6 +168,8 @@ def run_batch(cfg: SystemConfig, scenario: Scenario | None,
     """Monte Carlo batch; deterministic given (cfg, scenario, table, seed,
     runs) regardless of worker count."""
     scenario = scenario or fault_free()
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     table.check_compatible(cfg)
     if seed == table.seed:
         # noise is keyed on (seed, run): these runs would replay the

@@ -23,8 +23,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import load_json, read_key
+from .config import finite, integer, load_json, read_key
 from .errors import ConfigError
+
+
+def _rows(value) -> tuple[tuple[float, ...], ...]:
+    """A matrix as rows of finite numbers, all of one length."""
+    rows = tuple(tuple(map(finite, row)) for row in value)
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("rows of unequal length")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -52,12 +60,12 @@ class Event:
         kind = read_key(d, "kind", str)
         if kind not in ("set_B_zero", "set_bandwidth", "add_disturbance"):
             raise ConfigError(f"unknown scenario mutation {kind!r}")
-        return cls(k=read_key(d, "k", int), kind=kind,
-                   agents=read_key(d, "agents", lambda v: tuple(map(int, v)), ()),
-                   bandwidth=read_key(d, "bandwidth", int, 0),
-                   covariance=read_key(d, "covariance", lambda v: tuple(
-                       tuple(map(float, row)) for row in v), ()),
-                   duration=read_key(d, "duration", int, 0))
+        return cls(k=read_key(d, "k", integer), kind=kind,
+                   agents=read_key(d, "agents",
+                                   lambda v: tuple(map(integer, v)), ()),
+                   bandwidth=read_key(d, "bandwidth", integer, 0),
+                   covariance=read_key(d, "covariance", _rows, ()),
+                   duration=read_key(d, "duration", integer, 0))
 
 
 @dataclass
@@ -79,9 +87,11 @@ class Scenario:
                 out.extend(ev.agents)
         return tuple(sorted(set(out)))
 
-    def check_fits(self, rounds: int, n_agents: int) -> None:
+    def check_fits(self, rounds: int, n_agents: int, n: int) -> None:
         """Refuse events that a run of this length and fleet never applies,
-        and plant events that name no agent."""
+        plant events that name no agent, and events that cannot apply: a
+        bandwidth below 1, a disturbance shorter than one round or with a
+        covariance that is not n x n."""
         for ev in self.events:
             if ev.kind != "set_bandwidth" and not ev.agents:
                 raise ConfigError(f"scenario {self.name!r}: {ev.kind} event "
@@ -92,6 +102,15 @@ class Scenario:
                     f"scenario {self.name!r}: event at k={ev.k} on agents "
                     f"{ev.agents} falls outside rounds 0..{rounds - 1} or "
                     f"agents 1..{n_agents}")
+            if ev.kind == "set_bandwidth" and ev.bandwidth <= 0:
+                raise ConfigError(f"bandwidth event at k={ev.k} must be positive")
+            if ev.kind == "add_disturbance" and ev.duration < 1:
+                raise ConfigError(f"disturbance at k={ev.k} has duration "
+                                  f"{ev.duration} < 1")
+            if ev.kind == "add_disturbance" and np.shape(ev.covariance) != (n, n):
+                raise ConfigError(
+                    f"disturbance covariance shape {np.shape(ev.covariance)} "
+                    f"does not match state dimension {n}")
 
     def save(self, path: str | Path) -> None:
         doc = {"name": self.name, "events": [e.to_dict() for e in self.events]}

@@ -122,17 +122,9 @@ def run_lockstep(models: Sequence[AgentModel], m: int, scale: float,
 
     # events grouped by round, checked before round 0
     scenario = scenario or fault_free()
-    scenario.check_fits(rounds, N)
+    scenario.check_fits(rounds, N, n)
     events: dict[int, list] = {}
     for ev in scenario.events:
-        if ev.kind == "set_bandwidth" and ev.bandwidth <= 0:
-            raise ConfigError(f"bandwidth event at k={ev.k} must be positive")
-        if ev.kind == "add_disturbance" and ev.duration < 1:
-            raise ConfigError(f"disturbance at k={ev.k} has duration {ev.duration} < 1")
-        if ev.kind == "add_disturbance" and np.shape(ev.covariance) != (n, n):
-            raise ConfigError(
-                f"disturbance covariance shape {np.shape(ev.covariance)} does "
-                f"not match state dimension {n}")
         events.setdefault(ev.k, []).append(ev)
 
     # every output run-major, so a run's trace is one contiguous slice

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.signal import cont2discrete
 
+import priofd
 from priofd import design
 
 
@@ -11,15 +18,13 @@ def test_cartpole_open_loop_is_unstable():
 
 
 def test_zoh_matches_matrix_exponential():
+    # scipy.signal's zero-order hold is the independent reference
     ac, bc = design.cartpole_continuous()
-    from scipy.linalg import expm
-    blk = np.zeros((5, 5))
-    blk[:4, :4] = ac
-    blk[:4, 4:] = bc
-    eblk = expm(blk * design.ROUND_PERIOD)
+    ra, rb, *_ = cont2discrete((ac, bc, np.eye(4), np.zeros_like(bc)),
+                               design.ROUND_PERIOD, method="zoh")
     a, b = design.discretize_zoh(ac, bc)
-    assert np.allclose(a, eblk[:4, :4], atol=1e-12)
-    assert np.allclose(b, eblk[:4, 4:], atol=1e-12)
+    assert np.array_equal(a, ra)
+    assert np.array_equal(b, rb)
 
 
 @pytest.mark.parametrize("n_agents", [1, 2, 6])
@@ -42,3 +47,15 @@ def test_single_agent_has_no_coupling():
     _, f_cross = design.sync_lqr_gains(a, b, 1, np.eye(4), np.zeros((4, 4)),
                                        np.array([[0.1]]))
     assert np.array_equal(f_cross, np.zeros((1, 4)))
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # a fresh interpreter: this test process may already hold scipy.signal
+    src = str(Path(priofd.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import priofd.cli, sys; print('scipy.signal' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

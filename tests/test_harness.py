@@ -10,7 +10,8 @@ from priofd.harness import (RunRecord, emit_csv, parse_run_record,
                             report_from_records, run_batch,
                             write_alarm_series, write_detection_delays,
                             write_run_record)
-from priofd.scenarios import actuator_failure, bandwidth_loss, fault_free
+from priofd.scenarios import (actuator_failure, bandwidth_loss, fault_free,
+                              shaken_pole)
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +139,10 @@ def test_short_records_refused(desk_cfg):
             (actuator_failure((1,), 0), 1, "k=0 leaves no pre-event"),
             (actuator_failure((1,), 2), 1, "k=2 leaves no post-event"),
             (actuator_failure((1,), 7), 1, "k=7"),
-            (fault_free(), 5, "outside the fleet")):
+            (fault_free(), 5, "outside the fleet"),
+            (bandwidth_loss(0, 1), 1, "bandwidth event at k=1 must be positive"),
+            (shaken_pole(1, 1, duration=0), 1,
+             "disturbance at k=1 has duration 0 < 1")):
         with pytest.raises(ConfigError, match=match):
             report_from_records(records, cfg, scenario, monitored, 1, 1)
     with pytest.raises(ConfigError, match="band component must be in 1..1"):
@@ -204,6 +208,8 @@ def test_workers_match_serial(tmp_path, desk_cfg, small_table):
     assert np.array_equal(serial.p_sfd, parallel.p_sfd)
     assert np.array_equal(serial.p_dfd, parallel.p_dfd)
     assert np.array_equal(serial.state_mean, parallel.state_mean)
+    with pytest.raises(ConfigError, match="workers must be >= 1, got 0"):
+        run_batch(desk_cfg, None, small_table, runs=6, seed=5, workers=0)
 
 
 def test_hand_computed_aggregate_bytes(tmp_path, desk_cfg):
@@ -344,16 +350,41 @@ class TestCli:
                      "-o", str(tmp_path / "t.pfdt")]) == 2
         assert f"error: {cfg}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path,value,want", [
+        pytest.param(("detector", "d"), [10], "key 'd': ", id="d-list"),
+        pytest.param(("n_agents",), 6.9, "key 'n_agents': ", id="n_agents-6.9"),
+        pytest.param(("n_agents",), True, "key 'n_agents': ",
+                     id="n_agents-true"),
+        pytest.param(("bandwidth",), 2.5, "key 'bandwidth': ",
+                     id="bandwidth-2.5"),
+        pytest.param(("run", "rounds"), 300.7, "key 'rounds': ",
+                     id="rounds-300.7"),
+        pytest.param(("quant_scale",), float("nan"), "key 'quant_scale': ",
+                     id="quant_scale-nan"),
+        pytest.param(("quant_scale",), float("inf"), "key 'quant_scale': ",
+                     id="quant_scale-inf"),
+        pytest.param(("matrices", "A", "data", 5), float("inf"),
+                     "matrices.A: key 'data': ", id="A-inf"),
+        pytest.param(("matrices", "A", "data", 5), float("nan"),
+                     "matrices.A: key 'data': ", id="A-nan"),
+        pytest.param(("matrices", "B", "rows"), -4,
+                     "matrices.B: key 'rows': ", id="B-negative-rows"),
+        pytest.param(("matrices", "B", "cols"), -1,
+                     "matrices.B: key 'cols': ", id="B-negative-cols"),
+    ])
     def test_config_field_of_wrong_type_is_refused(self, artifacts, tmp_path,
-                                                   capsys):
+                                                   capsys, path, value, want):
         _, cfg, _ = artifacts
         doc = json.loads(cfg.read_text())
-        doc["detector"]["d"] = [10]
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
         bad = tmp_path / "cfg.json"
         bad.write_text(json.dumps(doc))
         assert main(["calibrate", "--config", str(bad),
                      "-o", str(tmp_path / "t.pfdt")]) == 2
-        assert f"{bad}: key 'd': " in capsys.readouterr().err
+        assert f"{bad}: {want}" in capsys.readouterr().err
 
     def test_scenario_event_without_kind_is_refused(self, artifacts, tmp_path,
                                                     capsys):

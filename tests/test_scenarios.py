@@ -96,6 +96,9 @@ def test_event_after_last_round_refused(desk_cfg, desk_models):
 def test_disturbance_covariance_shape_validated(desk_cfg, desk_models):
     refused(desk_cfg, desk_models, shaken_pole(2, 9, n=5),
             r"covariance shape \(5, 5\) does not match state dimension 4")
+    with pytest.raises(ConfigError, match="key 'covariance': rows of unequal"):
+        Event.from_dict({"k": 9, "kind": "add_disturbance", "agents": [2],
+                         "duration": 5, "covariance": [[1.0, 0.0], [0.0]]})
 
 
 @pytest.mark.parametrize("duration", [0, -5])
