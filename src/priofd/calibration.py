@@ -28,10 +28,11 @@ keep the effective sample size honest. Cells that fault-free operation
 never (or too rarely) produces keep kappa = +inf: a signature we cannot
 bound must never alarm.
 
-A SystemConfig fleet shares one (dynamics, gains, weight) signature, so
-pooling its agents mixes no distributions. fit_quantization_scale, the
-raw-priority pre-pass that gives a config its scale, takes a model list
-and refuses a mixed one.
+The round engine refuses a fleet whose agents differ in dynamics, gains
+or priority weight, so pooling a SystemConfig fleet's agents mixes no
+distributions. fit_quantization_scale, the raw-priority pre-pass that
+gives a config its scale, takes a model list and also refuses one whose
+noise covariances differ.
 """
 
 from __future__ import annotations
@@ -139,16 +140,6 @@ def nearest_rank(hist: np.ndarray, level):
     return float(values) if values.ndim == 0 else values
 
 
-def _require_homogeneous(models: Sequence[AgentModel]) -> None:
-    sigs = {b"".join(np.ascontiguousarray(p).tobytes() for p in
-                     (m.A, m.B, m.F_self, m.noise_cov, m.priority_weight))
-            for m in models}
-    if len(sigs) != 1:
-        raise CalibrationError(
-            "agents have distinct (dynamics, gains, weight) signatures; "
-            "pooled calibration would mix different priority distributions")
-
-
 def calibrate(cfg: SystemConfig, runs: int,
               seed: int) -> tuple[ThresholdTable, SampleBank]:
     """Both detectors' thresholds from one fault-free sampling pass of
@@ -156,7 +147,7 @@ def calibrate(cfg: SystemConfig, runs: int,
     cfg.validate()
     models, m, scale = cfg.models(), cfg.bandwidth, cfg.require_scale()
     bank = SampleBank(cfg.d, cfg.b)
-    for chunk in chunks(runs):
+    for chunk in chunks(runs, cfg.rounds * cfg.n_agents):
         for trace in run_lockstep(models, m, scale, cfg.rounds, seed, chunk):
             bank.add_trace(trace.gamma, trace.priorities, cfg.warmup_discard)
     n = bank.sfd_count
@@ -234,14 +225,20 @@ def fit_quantization_scale(models: Sequence[AgentModel], m: int, runs: int,
     differs through ties) and maps the fitted percentile to just below the
     headroom target.
     """
-    _require_homogeneous(models)
+    if any(not np.array_equal(mod.noise_cov, models[0].noise_cov)
+           for mod in models):
+        raise CalibrationError("agents have distinct noise covariances; the "
+                               "scale fit pools their raw priorities")
     if runs < 1:
         raise CalibrationError(f"the scale fit needs runs >= 1, got {runs}")
-    pool = [trace.raw_priorities[warmup_discard:].ravel()
-            for chunk in chunks(runs)
-            for trace in run_lockstep(models, m, 1.0, run_length, seed, chunk,
-                                      select_on_raw=True)]
-    samples = np.sort(np.concatenate(pool))
+    # filled run by run, so that no chunk's arrays outlive the chunk
+    samples = np.empty((runs, run_length - warmup_discard, len(models)))
+    for chunk in chunks(runs, run_length * len(models)):
+        for run, trace in zip(chunk, run_lockstep(
+                models, m, 1.0, run_length, seed, chunk, select_on_raw=True)):
+            samples[run] = trace.raw_priorities[warmup_discard:]
+    samples = samples.ravel()
+    samples.sort()
     p = float(samples[_rank(SCALE_FIT_PERCENTILE, samples.size) - 1])
     if p <= 0:
         raise CalibrationError("fault-free raw priorities are all zero; "

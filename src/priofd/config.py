@@ -78,6 +78,14 @@ def integer(value) -> int:
     return value
 
 
+def boolean(value) -> bool:
+    """A JSON true or false; refuses strings and numbers, which bool() would
+    read as True whenever they are non-empty or non-zero."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 def dimension(value) -> int:
     """A matrix dimension: an integer >= 1."""
     n = integer(value)
@@ -223,7 +231,7 @@ class SystemConfig:
             b=read_key(det, "b", integer),
             rounds=read_key(run, "rounds", integer),
             warmup_discard=read_key(run, "warmup_discard", integer),
-            allow_unstable=read_key(doc, "allow_unstable", bool, False),
+            allow_unstable=read_key(doc, "allow_unstable", boolean, False),
             provenance=read_key(doc, "provenance", dict, {}),
         )
 

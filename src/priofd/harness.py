@@ -195,10 +195,11 @@ def run_batch(cfg: SystemConfig, scenario: Scenario | None,
 
     if workers > 1:
         pool = ProcessPoolExecutor(max_workers=workers)
-        results = pool.map(worker, chunks(runs, parts=4 * workers))
+        results = pool.map(worker, chunks(runs, rounds * n_agents,
+                                          parts=4 * workers))
     else:
         pool = None
-        results = map(worker, chunks(runs))
+        results = map(worker, chunks(runs, rounds * n_agents))
     try:
         for rec, err_sq in (out for chunk in results for out in chunk):
             tally.add(rec.run, rec.sfd, rec.dfd, rec.states)

@@ -29,13 +29,19 @@ The round in which a disturbance expires still takes the explicit-plant
 path.
 
 run_lockstep advances a chunk of R runs in one (R, N, n) state with one
-round loop; run_single is the chunk of one run. Each run keeps its own
-noise streams and every output is stored run-major, so a run's RunTrace is
-the same bit for bit whatever chunk simulates it. That holds because every
-product is taken per run with the single-run kernel. The coupling term,
-for one, is a stacked matmul of BigF with each run's (N*n, 1) estimate
-column: one (R, N*n) @ BigF.T gemm would change its summation order with
-R, and so the float states.
+round loop; run_single is the chunk of one run. The fleet shares one model:
+every agent has the same A, B, F_self and priority weight (noise
+covariances and cross gains may differ), so each product is one shared
+matrix applied to every (run, agent) vector, an einsum such as
+"jk,rik->rij", and a fleet whose models differ is refused. Each run keeps
+its own noise streams and every output is stored run-major, so a run's
+RunTrace is the same bit for bit whatever chunk simulates it. That holds
+because every product sums in the same order for every run: the einsums
+sum each vector on its own, and the coupling term is a stacked matmul of
+BigF with each run's (N*n, 1) estimate column. One (R, N*n) @ BigF.T gemm
+would change its summation order with R, and so the float states; a plain
+E @ P2.T gemm sums in another order than the einsum and moves the states
+by about 1e-16.
 """
 
 from __future__ import annotations
@@ -52,9 +58,10 @@ from .network import top_m
 from .priority import quantize_batch
 from .scenarios import Scenario, fault_free
 
-# most runs per chunk in calibrate, the scale fit and run_batch; a chunk
-# holds about 0.2 MB of trace arrays per desk run
-CHUNK_RUNS = 16
+# most (run, round, agent) cells per chunk: 64 runs of 6 agents, 19 of 20.
+# A cell keeps about 0.1 kB of trace arrays, so a chunk about 13 MB; the
+# full-scale make-config peaked at 100 MB in chunks of 16, 133 MB of 64
+CHUNK_CELLS = 64 * 300 * 6
 
 
 @dataclass
@@ -70,10 +77,11 @@ class RunTrace:
     err_sq: np.ndarray           # (T, N) squared error norms ||e_i(k)||^2
 
 
-def chunks(runs: int, parts: int = 1) -> list[range]:
-    """0..runs-1 in consecutive, nearly equal chunks of at most CHUNK_RUNS
-    runs, and at least `parts` of them where there are that many runs."""
-    count = max(1, min(runs, max(parts, -(-runs // CHUNK_RUNS))))
+def chunks(runs: int, run_cells: int, parts: int = 1) -> list[range]:
+    """0..runs-1 in consecutive, nearly equal chunks of CHUNK_CELLS cells
+    at most (one run at least), and at least min(parts, runs) of them."""
+    most = max(1, CHUNK_CELLS // run_cells)
+    count = max(1, min(runs, max(parts, -(-runs // most))))
     edges = [runs * j // count for j in range(count + 1)]
     return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
@@ -95,23 +103,18 @@ def run_lockstep(models: Sequence[AgentModel], m: int, scale: float,
     runs[r]. Selection uses the quantized priorities, or the raw ones with
     select_on_raw."""
     ids = [mod.id for mod in models]
-    if ids != list(range(1, len(models) + 1)):
+    if not ids or ids != list(range(1, len(models) + 1)):
         raise ConfigError(f"agent ids must be 1..N in order, got {ids}")
-    dims = {(mod.n, mod.m) for mod in models}
-    if len(dims) != 1:
-        raise ConfigError("the round engine requires equal state/input "
-                          "dimensions across agents")
+    one = models[0]
+    if any(not np.array_equal(getattr(mod, f), getattr(one, f))
+           for mod in models for f in ("A", "B", "F_self", "priority_weight")):
+        raise ConfigError("agents have distinct dimensions or (A, B, F_self,"
+                          " priority_weight); the engine runs one model")
     if m <= 0:
         raise ConfigError(f"bandwidth M must be positive, got {m}")
-    N, R = len(models), len(runs)
-    n, nb = dims.pop()
-
-    A = np.stack([mod.A for mod in models])
-    B = np.stack([mod.B for mod in models])
-    Fself = np.stack([mod.F_self for mod in models])
-    P1 = np.stack([mod.closed_loop for mod in models])
-    P2 = np.stack([mod.error_pred2 for mod in models])
-    W = np.stack([mod.priority_weight for mod in models])
+    N, R, n, nb = len(models), len(runs), one.n, one.m
+    A, B, Fself, W = one.A, one.B, one.F_self, one.priority_weight
+    P1, P2 = one.closed_loop, one.error_pred2
     BigF = np.zeros((N * nb, N * n))
     for i, mod in enumerate(models):
         for j, gain in mod.F_cross.items():
@@ -140,7 +143,7 @@ def run_lockstep(models: Sequence[AgentModel], m: int, scale: float,
     errors = np.zeros((R, rounds, N, n))
     Xhat = np.zeros((R, N, n))
     E = np.zeros((R, N, n))
-    plant_B = B.copy()                  # scenario mutations touch only this
+    plant_B = np.stack([B] * N)         # scenario mutations touch only this
     matched = np.ones(N, dtype=bool)
     disturbances: dict[int, tuple] = {}  # index -> (chol, k0, until_k, draws)
     M = m
@@ -168,8 +171,8 @@ def run_lockstep(models: Sequence[AgentModel], m: int, scale: float,
         X = Xhat + E
         states[:, k] = X
         errors[:, k] = E
-        e_pred = np.einsum("ijk,rik->rij", P2, E)
-        raw[:, k] = np.einsum("rij,ijk,rik->ri", e_pred, W, e_pred)
+        e_pred = np.einsum("jk,rik->rij", P2, E)
+        raw[:, k] = np.einsum("rij,jk,rik->ri", e_pred, W, e_pred)
         q[:, k] = quantize_batch(raw[:, k], scale)
         key = raw[:, k] if select_on_raw else q[:, k]
         gamma[rows, k + 2, top_m(key, M)] = True
@@ -178,19 +181,19 @@ def run_lockstep(models: Sequence[AgentModel], m: int, scale: float,
         # shared estimate; the coupling term is common to both
         sent = gamma[:, k]
         coupling = np.matmul(BigF, Xhat.reshape(R, N * n, 1)).reshape(R, N, nb)
-        U = np.einsum("imn,rin->rim", Fself, X) + coupling
-        Uhat = np.einsum("imn,rin->rim", Fself, Xhat) + coupling
+        U = np.einsum("mn,rin->rim", Fself, X) + coupling
+        Uhat = np.einsum("mn,rin->rim", Fself, Xhat) + coupling
         base = np.where(sent[..., None], X, Xhat)
         ubase = np.where(sent[..., None], U, Uhat)
-        xhat_next = (np.einsum("ijk,rik->rij", A, base)
-                     + np.einsum("imn,rin->rim", B, ubase))
+        xhat_next = (np.einsum("jk,rik->rij", A, base)
+                     + np.einsum("mn,rin->rim", B, ubase))
 
         v = noise[:, k]
-        e_next = np.einsum("ijk,rik->rij", P1, E) + v
+        e_next = np.einsum("jk,rik->rij", P1, E) + v
         e_next[sent] = v[sent]
         plant = np.flatnonzero(~matched)
         if plant.size:
-            x_next = (np.matmul(A[plant], X[:, plant, :, None])
+            x_next = (np.matmul(A, X[:, plant, :, None])
                       + np.matmul(plant_B[plant], U[:, plant, :, None]))[..., 0]
             x_next += v[:, plant]
             for j, i in enumerate(plant):
@@ -201,7 +204,7 @@ def run_lockstep(models: Sequence[AgentModel], m: int, scale: float,
                     x_next[:, j] += np.matmul(chol, draws[:, k - k0, :, None])[..., 0]
                 else:
                     del disturbances[i]
-                    matched[i] = np.array_equal(plant_B[i], B[i])
+                    matched[i] = np.array_equal(plant_B[i], B)
             e_next[:, plant] = x_next - xhat_next[:, plant]
         Xhat, E = xhat_next, e_next
 

@@ -301,10 +301,12 @@ class TestScaleFit:
                                    seed=0, warmup_discard=20)
 
     def test_heterogeneous_fleet_refused(self, desk_cfg, desk_models):
+        # the engine runs agents with distinct noise, but the scale fit
+        # pools their raw priorities
         odd = desk_models[:]
         first = odd[0]
-        odd[0] = AgentModel(1, first.A, first.B, 0.5 * first.F_self,
-                            first.F_cross, first.noise_cov)
+        odd[0] = AgentModel(1, first.A, first.B, first.F_self, first.F_cross,
+                            2 * first.noise_cov, first.priority_weight)
         with pytest.raises(CalibrationError, match="distinct"):
             fit_quantization_scale(odd, desk_cfg.bandwidth, runs=2,
                                    run_length=100, seed=0, warmup_discard=20)

@@ -93,15 +93,16 @@ def test_linearity(alpha, seed, sends):
     # noise covariance alpha^2 I scales the noise by alpha (both covariance
     # traces are >= 1, so the Cholesky jitter scales with them); the
     # schedule is fixed: both agents send with m=2, and agent 1 alone with
-    # m=1, since a tiny scale saturates every positive priority
+    # m=1, since a tiny scale saturates every positive priority; the engine
+    # shares one model, so only the cross gains differ between agents
     r = np.random.default_rng(seed)
-    a = r.normal(size=(3, 3))
-    gains = [(r.normal(size=(3, 2)), r.normal(size=(2, 3)),
-              r.normal(size=(2, 3))) for _ in range(2)]
+    a, b, f = (r.normal(size=(3, 3)), r.normal(size=(3, 2)),
+               r.normal(size=(2, 3)))
+    cross = [r.normal(size=(2, 3)) for _ in range(2)]
 
     def fleet(cov):
         return [AgentModel(i + 1, a, b, f, {2 - i: f_cross}, cov)
-                for i, (b, f, f_cross) in enumerate(gains)]
+                for i, f_cross in enumerate(cross)]
 
     m = 2 if sends else 1
     base = run_single(fleet(np.eye(3)), m, 1e-250, 8, seed=seed, run=0)

@@ -44,7 +44,7 @@ class TestStepAgent:
         assert not trace.states.any()
 
     def test_dimension_mismatch(self):
-        # the engine stacks the fleet and refuses unequal dimensions
+        # the engine shares one model and refuses unequal dimensions
         for other in (simple_model(a=np.eye(3), ident=2),
                       simple_model(b=np.zeros((2, 2)), ident=2)):
             with pytest.raises(ConfigError, match="dimensions"):

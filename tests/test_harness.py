@@ -371,6 +371,8 @@ class TestCli:
                      "matrices.B: key 'rows': ", id="B-negative-rows"),
         pytest.param(("matrices", "B", "cols"), -1,
                      "matrices.B: key 'cols': ", id="B-negative-cols"),
+        pytest.param(("allow_unstable",), "false", "key 'allow_unstable': ",
+                     id="allow_unstable-string"),
     ])
     def test_config_field_of_wrong_type_is_refused(self, artifacts, tmp_path,
                                                    capsys, path, value, want):

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from priofd.config import SystemConfig
+from priofd.errors import ConfigError
 from priofd.scenarios import PRESETS, Event, Scenario
-from priofd.simulate import (CHUNK_RUNS, RunTrace, chunks, run_lockstep,
+from priofd.simulate import (CHUNK_CELLS, RunTrace, chunks, run_lockstep,
                              run_single)
 
 from oracles import ref_replay
@@ -23,6 +24,8 @@ from oracles import ref_replay
 DESK = SystemConfig.load(Path(__file__).resolve().parent.parent / "configs"
                          / "cartpole_desk.json")
 FIELDS = [f.name for f in dataclasses.fields(RunTrace)]
+DESK_CELLS = DESK.rounds * DESK.n_agents  # cells of one desk run
+DESK_CHUNK = CHUNK_CELLS // DESK_CELLS  # most desk runs in one chunk
 SHAKE = ((0.0, 0, 0, 0), (0, 0.0025, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0.04))
 PUSH = ((0.01, 0, 0, 0), (0, 0.0, 0, 0), (0, 0, 0.01, 0), (0, 0, 0, 0.0))
 
@@ -68,17 +71,20 @@ def same_bits(a: RunTrace, b: RunTrace) -> bool:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_chunk_size_invariance(case):
     # run 40 sits alone, last, in the middle, first and in the middle of
-    # chunks of 1, 2, 7, 25 and CHUNK_RUNS runs; every run of every chunk
-    # must equal its trace from one chunk of 64 runs, bit for bit
+    # chunks of 1, 2, 7, 25 and DESK_CHUNK runs; every run of every chunk
+    # must equal, bit for bit, its trace from one chunk that starts at run
+    # 0 and is longer than all of them, so never equals one of them
     scenario, on_raw = CASES[case]
-    ref = dict(zip(range(8, 72), lockstep(range(8, 72), scenario, on_raw)))
-    for size, lo in ((1, 40), (2, 39), (7, 37), (25, 40),
-                     (CHUNK_RUNS, 40 - CHUNK_RUNS // 2)):
-        runs = range(lo, lo + size)
+    tested = [range(lo, lo + size) for size, lo in (
+        (1, 40), (2, 39), (7, 37), (25, 40),
+        (DESK_CHUNK, 40 - DESK_CHUNK // 2))]
+    whole = range(max(runs.stop for runs in tested) + 1)
+    ref = dict(zip(whole, lockstep(whole, scenario, on_raw)))
+    for runs in tested:
         traces = lockstep(runs, scenario, on_raw)
-        assert len(traces) == size
+        assert len(traces) == len(runs)
         for run, trace in zip(runs, traces):
-            assert same_bits(trace, ref[run]), (case, size, run)
+            assert same_bits(trace, ref[run]), (case, len(runs), run)
             assert all(getattr(trace, f).flags.c_contiguous for f in FIELDS)
     single = run_single(DESK.models(), DESK.bandwidth, DESK.quant_scale,
                         DESK.rounds, 7, 40, scenario=scenario,
@@ -119,11 +125,27 @@ def test_chunk_matches_oracle(scenario):
                                atol=1e-9), k
 
 
+@pytest.mark.parametrize("field", ["A", "B", "F_self", "priority_weight"])
+def test_fleet_of_distinct_models_refused(field):
+    # the engine simulates one shared model, so a fleet in which agent 3
+    # differs must be refused rather than run on agent 1's matrices
+    models = DESK.models()
+    models[2] = dataclasses.replace(models[2],
+                                    **{field: 1.5 * getattr(models[2], field)})
+    with pytest.raises(ConfigError, match="distinct"):
+        run_lockstep(models, DESK.bandwidth, DESK.quant_scale, DESK.rounds,
+                     7, range(2))
+
+
 def test_chunks_cover_runs_in_order():
-    for runs in (1, 7, CHUNK_RUNS, CHUNK_RUNS + 1, 3 * CHUNK_RUNS + 5):
-        for parts in (1, 2, 8):
-            got = chunks(runs, parts)
-            assert [r for c in got for r in c] == list(range(runs))
-            assert all(1 <= len(c) <= CHUNK_RUNS for c in got)
-            assert len(got) >= min(parts, runs)
+    # the desk fleet runs in chunks of 64, the 20-agent fleet in chunks of
+    # at most 19, and a run larger than the budget in chunks of one
+    for run_cells, most in ((DESK_CELLS, 64), (300 * 20, 19),
+                            (CHUNK_CELLS, 1), (2 * CHUNK_CELLS, 1)):
+        for runs in (1, 7, most, most + 1, 3 * most + 5):
+            for parts in (1, 2, 8):
+                got = chunks(runs, run_cells, parts)
+                assert [r for c in got for r in c] == list(range(runs))
+                assert all(1 <= len(c) <= most for c in got)
+                assert len(got) == max(min(parts, runs), -(-runs // most))
     assert lockstep(range(0)) == []
