@@ -12,7 +12,7 @@ from .fd_dynamic import (Period, ThresholdTable, dfd_evaluate, dfd_verdicts,
 from .fd_static import StaticDetector, sfd_verdicts
 from .harness import (AggregateReport, RunRecord, emit_csv, parse_run_record,
                       run_batch)
-from .network import ScheduleHistory, select_senders
+from .network import ScheduleHistory
 from .scenarios import Scenario, resolve_scenario
 from .simulate import RunTrace, run_lockstep, run_single
 

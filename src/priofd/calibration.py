@@ -48,6 +48,7 @@ from .dynamics import AgentModel
 from .errors import CalibrationError, ConfigError
 from .fd_dynamic import ThresholdTable, window_periods
 from .fd_static import window_sums
+from .harness import write_table
 from .priority import QUANT_MAX, SCALE_FIT_PERCENTILE, SCALE_HEADROOM_TARGET
 from .simulate import chunks, run_lockstep
 # perfbench wraps run_single here; a benchmark-only change moves that to run_lockstep
@@ -145,6 +146,8 @@ def calibrate(cfg: SystemConfig, runs: int,
     """Both detectors' thresholds from one fault-free sampling pass of
     `runs` runs of the configured fleet, noise keyed on (seed, run)."""
     cfg.validate()
+    if runs < 1:
+        raise ConfigError(f"runs must be >= 1, got {runs}")
     models, m, scale = cfg.models(), cfg.bandwidth, cfg.require_scale()
     bank = SampleBank(cfg.d, cfg.b)
     for chunk in chunks(runs, cfg.rounds * cfg.n_agents):
@@ -207,11 +210,11 @@ def write_calibration_report(bank: SampleBank, path) -> None:
     """Cell coverage CSV: how many period sums back each (T1, T2, a) cell,
     plus the pooled sFD sample count on a summary row."""
     counts = bank.cell_counts()
-    with open(path, "w", newline="") as fh:
-        fh.write("T1;T2;a;count\n")
-        fh.write(f"0;0;0;{bank.sfd_count}\n")  # T1=0 row: sFD window sums
-        for t1, t2, a in zip(*np.nonzero(counts)):
-            fh.write(f"{t1 + 1};{t2 + 1};{a};{counts[t1, t2, a]}\n")
+    t1, t2, a = np.nonzero(counts)
+    # the T1=0 row first: sFD window sums
+    write_table(path, "", ("T1", "T2", "a", "count"),
+                (np.r_[0, t1 + 1], np.r_[0, t2 + 1], np.r_[0, a],
+                 np.r_[bank.sfd_count, counts[t1, t2, a]]))
 
 
 def fit_quantization_scale(models: Sequence[AgentModel], m: int, runs: int,

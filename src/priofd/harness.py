@@ -2,8 +2,12 @@
 
 All emitted files are semicolon separated with '.' decimals and start with
 a provenance comment (config hash, seed, run count, scenario), so identical
-inputs produce byte-identical files. Aggregates are exact counts divided by
-the run count and can be recomputed from emitted run records.
+inputs produce byte-identical files. write_table is the one CSV writer:
+each artifact is a set of equal-length columns, and each column is
+formatted once by its dtype (bools and integers as ints, floats as the
+repr of the Python float, which parses back bit-exactly). Aggregates are
+exact counts divided by the run count and can be recomputed from emitted
+run records.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -170,6 +174,8 @@ def run_batch(cfg: SystemConfig, scenario: Scenario | None,
     scenario = scenario or fault_free()
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    if record_runs < 0:
+        raise ConfigError(f"record_runs must be >= 0, got {record_runs}")
     table.check_compatible(cfg)
     if seed == table.seed:
         # noise is keyed on (seed, run): these runs would replay the
@@ -238,111 +244,94 @@ def _provenance(cfg_hash: str, seed: int, runs: int, scenario: str) -> str:
             f"{SEP}scenario={scenario}\n")
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return str(int(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
+def _cells(column) -> Iterator[str]:
+    """One column's cells: bools and integers as str of the int, floats as
+    repr of the Python float, anything else as str."""
+    col = np.asarray(column)
+    if col.dtype.kind == "b":
+        col = col.astype(np.int64)
+    return map(repr if col.dtype.kind == "f" else str, col.tolist())
+
+
+def write_table(path, header: str, names: Sequence[str],
+                columns: Sequence) -> None:
+    """`header`, a line of column names, then one row per index of the
+    equal-length columns, each column formatted once by _cells."""
+    rows = zip(*map(_cells, columns))
+    with open(path, "w", newline="") as fh:
+        fh.write(header + SEP.join(names) + "\n")
+        fh.writelines(SEP.join(row) + "\n" for row in rows)
 
 
 def write_alarm_series(report: AggregateReport, path: Path, header: str) -> None:
     agent = report.monitored - 1
-    with open(path, "w", newline="") as fh:
-        fh.write(header)
-        fh.write(f"k{SEP}p_sfd{SEP}p_dfd\n")
-        for k in range(report.rounds):
-            fh.write(f"{k}{SEP}{_fmt(report.p_sfd[k, agent])}"
-                     f"{SEP}{_fmt(report.p_dfd[k, agent])}\n")
+    write_table(path, header, ("k", "p_sfd", "p_dfd"),
+                (np.arange(report.rounds), report.p_sfd[:, agent],
+                 report.p_dfd[:, agent]))
 
 
 def write_state_bands(report: AggregateReport, path: Path, header: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(header)
-        fh.write(f"k{SEP}minus3{SEP}minus2{SEP}minus1{SEP}mean{SEP}plus1"
-                 f"{SEP}plus2{SEP}plus3\n")
-        for k in range(report.rounds):
-            m, s = report.state_mean[k], report.state_std[k]
-            cells = [k, m - 3 * s, m - 2 * s, m - s, m, m + s, m + 2 * s,
-                     m + 3 * s]
-            fh.write(SEP.join(_fmt(c) for c in cells) + "\n")
+    m, s = report.state_mean, report.state_std
+    write_table(path, header, ("k", "minus3", "minus2", "minus1", "mean",
+                               "plus1", "plus2", "plus3"),
+                (np.arange(report.rounds), m - 3 * s, m - 2 * s, m - s, m,
+                 m + s, m + 2 * s, m + 3 * s))
 
 
 def write_interval_rates(report: AggregateReport, path: Path, header: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(header)
-        fh.write(f"detector{SEP}agent{SEP}pre_rate{SEP}post_rate\n")
-        for det, pre, post in (("sfd", report.pre_sfd, report.post_sfd),
-                               ("dfd", report.pre_dfd, report.post_dfd)):
-            for i in range(report.n_agents):
-                fh.write(f"{det}{SEP}{i + 1}{SEP}{_fmt(pre[i])}"
-                         f"{SEP}{_fmt(post[i])}\n")
+    n = report.n_agents
+    write_table(path, header, ("detector", "agent", "pre_rate", "post_rate"),
+                (["sfd"] * n + ["dfd"] * n, np.tile(np.arange(1, n + 1), 2),
+                 np.concatenate((report.pre_sfd, report.pre_dfd)),
+                 np.concatenate((report.post_sfd, report.post_dfd))))
 
 
 def write_detection_delays(report: AggregateReport, path: Path, header: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(header)
-        fh.write(f"delay{SEP}n_sfd{SEP}n_dfd\n")
-        finite = [d[np.isfinite(d)].astype(int) for d in
-                  (report.delay_sfd, report.delay_dfd)]
-        top = int(max((arr.max() for arr in finite if arr.size), default=-1))
-        for delay in range(top + 1):
-            ns = int(np.count_nonzero(finite[0] == delay))
-            nd = int(np.count_nonzero(finite[1] == delay))
-            fh.write(f"{delay}{SEP}{ns}{SEP}{nd}\n")
+    finite = [d[np.isfinite(d)].astype(int) for d in
+              (report.delay_sfd, report.delay_dfd)]
+    top = int(max((arr.max() for arr in finite if arr.size), default=-1)) + 1
+    write_table(path, header, ("delay", "n_sfd", "n_dfd"),
+                (np.arange(top), *(np.bincount(arr, minlength=top)
+                                   for arr in finite)))
 
 
 def write_run_record(rec: RunRecord, path: Path, header: str) -> None:
-    rounds, n_agents = rec.gamma.shape
-    n_sel = rec.states.shape[2]
-    cols = [f"x{j + 1}" for j in range(n_sel)]
-    with open(path, "w", newline="") as fh:
-        fh.write(header)
-        fh.write(f"k{SEP}agent{SEP}gamma{SEP}quantized_priority{SEP}sfd"
-                 f"{SEP}dfd{SEP}" + SEP.join(cols) + "\n")
-        for k in range(rounds):
-            for i in range(n_agents):
-                cells = [k, i + 1, rec.gamma[k, i], rec.priorities[k, i],
-                         rec.sfd[k, i], rec.dfd[k, i]]
-                cells += [rec.states[k, i, j] for j in range(n_sel)]
-                fh.write(SEP.join(_fmt(c) for c in cells) + "\n")
+    """One row per (k, agent), k first."""
+    rounds, n_agents, n_sel = rec.states.shape
+    write_table(path, header,
+                ("k", "agent", "gamma", "quantized_priority", "sfd", "dfd",
+                 *(f"x{j + 1}" for j in range(n_sel))),
+                (np.repeat(np.arange(rounds), n_agents),
+                 np.tile(np.arange(1, n_agents + 1), rounds),
+                 *(arr.ravel() for arr in (rec.gamma, rec.priorities,
+                                           rec.sfd, rec.dfd)),
+                 *(rec.states[:, :, j].ravel() for j in range(n_sel))))
 
 
 def parse_run_record(path: Path) -> RunRecord:
     """Inverse of write_run_record; provenance comments supply run and seed."""
     run = seed = -1
     rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                for part in line[1:].strip().split(SEP):
-                    key, _, val = part.partition("=")
-                    if key == "run":
-                        run = int(val)
-                    elif key == "seed":
-                        seed = int(val)
-                continue
-            if line.startswith("k" + SEP) or not line:
-                continue
+    for line in Path(path).read_text().splitlines():
+        if line.startswith("#"):
+            for part in line[1:].strip().split(SEP):
+                key, _, val = part.partition("=")
+                if key == "run":
+                    run = int(val)
+                elif key == "seed":
+                    seed = int(val)
+        elif line and not line.startswith("k" + SEP):
             rows.append(line.split(SEP))
-    ks = np.array([int(r[0]) for r in rows])
-    agents = np.array([int(r[1]) for r in rows])
-    rounds, n_agents = ks.max() + 1, agents.max()
-    n_sel = len(rows[0]) - 6
-    gamma = np.zeros((rounds, n_agents), dtype=bool)
-    q = np.zeros((rounds, n_agents), dtype=np.int16)
-    sfd = np.zeros((rounds, n_agents), dtype=bool)
-    dfd = np.zeros((rounds, n_agents), dtype=bool)
-    states = np.zeros((rounds, n_agents, n_sel))
-    for r in rows:
-        k, i = int(r[0]), int(r[1]) - 1
-        gamma[k, i] = bool(int(r[2]))
-        q[k, i] = int(r[3])
-        sfd[k, i] = bool(int(r[4]))
-        dfd[k, i] = bool(int(r[5]))
-        states[k, i] = [float(x) for x in r[6:]]
-    return RunRecord(run, seed, gamma, q, sfd, dfd, states)
+    cells = np.array(rows)
+    ks, agents = cells[:, 0].astype(int), cells[:, 1].astype(int) - 1
+    shape = (ks.max() + 1, agents.max() + 1)
+    fields = [np.zeros(shape, dtype=dtype)
+              for dtype in (bool, np.int16, bool, bool)]
+    for col, arr in enumerate(fields, start=2):
+        arr[ks, agents] = cells[:, col].astype(int)
+    states = np.zeros(shape + (cells.shape[1] - 6,))
+    states[ks, agents] = cells[:, 6:].astype(float)
+    return RunRecord(run, seed, *fields, states)
 
 
 def emit_csv(report: AggregateReport, records: Sequence[RunRecord],

@@ -4,15 +4,13 @@ communication record an online dFD observer keeps.
 top_m is the one home of the selection rule: the M highest priorities
 win, ties to the lower agent id. The round engine (simulate.run_lockstep)
 applies it every round, to every run of a chunk at once, to elect the
-senders two rounds ahead; select_senders is the same rule on one round's
-priorities, returning agent ids. ScheduleHistory keeps one agent's
-communication rounds for the per-update dFD (fd_dynamic.dfd_evaluate).
+senders two rounds ahead. ScheduleHistory keeps one agent's communication
+rounds for the per-update dFD (fd_dynamic.dfd_evaluate).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Sequence
 
 import numpy as np
 
@@ -66,9 +64,3 @@ def top_m(priorities: np.ndarray, m: int) -> np.ndarray:
         raise ConfigError(f"bandwidth M must be positive, got {m}")
     p = np.asarray(priorities)
     return np.argsort(-p, axis=-1, kind="stable")[..., :min(m, p.shape[-1])]
-
-
-def select_senders(priorities: np.ndarray | Sequence[float], m: int) -> tuple[int, ...]:
-    """Ids of the min(m, N) agents with the highest priorities, given the
-    values of agents 1..N in order. Ties break by ascending agent id."""
-    return tuple((top_m(priorities, m) + 1).tolist())

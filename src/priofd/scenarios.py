@@ -17,7 +17,6 @@ states hard enough that priorities saturate within a few rounds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,17 +42,6 @@ class Event:
     bandwidth: int = 0
     covariance: tuple[tuple[float, ...], ...] = ()
     duration: int = 0
-
-    def to_dict(self) -> dict:
-        d = {"k": self.k, "kind": self.kind}
-        if self.kind == "set_B_zero":
-            d["agents"] = list(self.agents)
-        elif self.kind == "set_bandwidth":
-            d["bandwidth"] = self.bandwidth
-        elif self.kind == "add_disturbance":
-            d.update(agents=list(self.agents), duration=self.duration,
-                     covariance=[list(row) for row in self.covariance])
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "Event":
@@ -111,10 +99,6 @@ class Scenario:
                 raise ConfigError(
                     f"disturbance covariance shape {np.shape(ev.covariance)} "
                     f"does not match state dimension {n}")
-
-    def save(self, path: str | Path) -> None:
-        doc = {"name": self.name, "events": [e.to_dict() for e in self.events]}
-        Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Scenario":

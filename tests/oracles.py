@@ -3,7 +3,8 @@
 ref_control, ref_priority, ref_quantize and ref_round restate one round of
 the protocol agent by agent with plain matrix products, sharing no code
 with the batched round engine in priofd.simulate; ref_replay applies
-ref_round to every round of a recorded run.
+ref_round to every round of a recorded run. ref_senders restates the
+selection rule (top M, ties to the lower id) as a plain sort.
 
 brute_partition re-derives the detection-window partition by literal
 scanning, sharing no code with the production partitioners;
@@ -71,6 +72,14 @@ def ref_round(models, xhat, e, senders, v, scale):
         u_hat = ref_control(mod.F_self, mod.F_cross, base, xhat)
         xhat_next.append(mod.A @ base + mod.B @ u_hat)
     return q, np.array(xhat_next), np.array(x_next)
+
+
+def ref_senders(priorities, m):
+    """Ids (1-based) of the min(m, N) agents with the highest priorities,
+    highest first, ties to the lower id: a sort by (-priority, id)."""
+    ids = sorted(range(1, len(priorities) + 1),
+                 key=lambda i: (-priorities[i - 1], i))
+    return tuple(ids[:m])
 
 
 def ref_replay(models, trace, scale):

@@ -146,8 +146,9 @@ class TestCalibrateSfd:
             calibrate(replace(desk_cfg, rounds=55), runs=1, seed=1)
         with pytest.raises(ConfigError, match="warmup_discard must be >= 0"):
             calibrate(replace(desk_cfg, warmup_discard=-1), runs=1, seed=1)
-        with pytest.raises(CalibrationError, match="0 window sums"):
-            calibrate(desk_cfg, runs=0, seed=1)
+        for runs in (0, -3):
+            with pytest.raises(ConfigError, match=f"runs must be >= 1, got {runs}"):
+                calibrate(desk_cfg, runs=runs, seed=1)
 
 
 class TestDfdEntries:
@@ -318,7 +319,10 @@ def test_report_csv(tmp_path, desk_cfg):
     path = tmp_path / "report.csv"
     write_calibration_report(bank, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "T1;T2;a;count"
-    assert lines[1] == f"0;0;0;{bank.sfd_count}"
+    # every cell is str(int(value)); the sFD summary row comes first
+    counts = bank.cell_counts()
+    assert lines == ["T1;T2;a;count", f"0;0;0;{bank.sfd_count}"] + [
+        f"{t1 + 1};{t2 + 1};{a};{counts[t1, t2, a]}"
+        for t1, t2, a in zip(*np.nonzero(counts))]
     total = sum(int(l.split(";")[3]) for l in lines[2:])
     assert total == bank.dfd_count

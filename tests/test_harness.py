@@ -10,8 +10,8 @@ from priofd.harness import (RunRecord, emit_csv, parse_run_record,
                             report_from_records, run_batch,
                             write_alarm_series, write_detection_delays,
                             write_run_record)
-from priofd.scenarios import (actuator_failure, bandwidth_loss, fault_free,
-                              shaken_pole)
+from priofd.scenarios import (PRESETS, actuator_failure, bandwidth_loss,
+                              fault_free, shaken_pole)
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +124,8 @@ def test_no_runs_refused(desk_cfg, small_table):
         run_batch(desk_cfg, None, small_table, runs=0, seed=0)
     with pytest.raises(ConfigError, match="runs must be >= 1"):
         report_from_records([], desk_cfg, fault_free(), 1, 1)
+    with pytest.raises(ConfigError, match="record_runs must be >= 0, got -1"):
+        run_batch(desk_cfg, None, small_table, runs=1, seed=0, record_runs=-1)
 
 
 def test_short_records_refused(desk_cfg):
@@ -248,6 +250,10 @@ def test_hand_computed_aggregate_bytes(tmp_path, desk_cfg):
         band_component=1)
     assert event.delay_sfd.tolist() == [0.0, 0.0]
     assert event.delay_dfd.tolist() == [1.0, 0.0]
+    # agent 1 alarms with p_sfd (0, 1, 0.5) and p_dfd (0, 0.5, 1): the pre
+    # interval is [0, 1), the post interval [k + d, 3) = [2, 3)
+    assert event.interval_rates("sfd", 1) == (0.0, 0.5)
+    assert event.interval_rates("dfd", 1) == (0.0, 1.0)
 
 
 def test_empty_delay_table_is_header_only(tmp_path, desk_cfg, small_table):
@@ -255,6 +261,78 @@ def test_empty_delay_table_is_header_only(tmp_path, desk_cfg, small_table):
     path = tmp_path / "delays.csv"
     write_detection_delays(report, path, "# h\n")
     assert path.read_text() == "# h\ndelay;n_sfd;n_dfd\n"
+
+
+def assert_cells(path, header_lines, names, rows):
+    """Every cell of a CSV against the value it was written from: a float
+    as the repr of the Python float, parsing back bit-exactly; an int or a
+    bool as str(int(value)); anything else as str. Float bytes are not
+    pinned, since they can differ across BLAS builds."""
+    lines = path.read_text().splitlines()
+    assert lines[header_lines] == ";".join(names)
+    body = lines[header_lines + 1:]
+    assert len(body) == len(rows)
+    for line, row in zip(body, rows):
+        cells = line.split(";")
+        assert len(cells) == len(row), line
+        for cell, value in zip(cells, row):
+            if isinstance(value, (int, np.bool_, np.integer)):
+                assert cell == str(int(value)), (line, value)
+            elif isinstance(value, (float, np.floating)):
+                assert cell == repr(float(value)), (line, value)
+                assert (np.float64(cell).tobytes() == np.float64(value).tobytes()
+                        or np.isnan(value) and cell == "nan"), (line, value)
+            else:
+                assert cell == str(value), (line, value)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_every_cell_follows_the_format_rule(tmp_path, desk_cfg, small_table,
+                                            preset):
+    scenario = PRESETS[preset]()
+    report, records = run_batch(desk_cfg, scenario, small_table, runs=5,
+                                seed=41, record_runs=2)
+    emit_csv(report, records, tmp_path, desk_cfg, 41, scenario.name)
+    ks = range(report.rounds)
+    agent = report.monitored - 1
+    assert_cells(tmp_path / "alarm_probability.csv", 1, ("k", "p_sfd", "p_dfd"),
+                 [(k, report.p_sfd[k, agent], report.p_dfd[k, agent])
+                  for k in ks])
+    bands = []
+    for k in ks:
+        m, s = report.state_mean[k], report.state_std[k]
+        bands.append((k, m - 3 * s, m - 2 * s, m - s, m, m + s, m + 2 * s,
+                      m + 3 * s))
+    assert_cells(tmp_path / "state_bands.csv", 1,
+                 ("k", "minus3", "minus2", "minus1", "mean", "plus1", "plus2",
+                  "plus3"), bands)
+    rates = [(det, i + 1, pre[i], post[i])
+             for det, pre, post in (("sfd", report.pre_sfd, report.post_sfd),
+                                    ("dfd", report.pre_dfd, report.post_dfd))
+             for i in range(report.n_agents)]
+    assert_cells(tmp_path / "interval_rates.csv", 1,
+                 ("detector", "agent", "pre_rate", "post_rate"), rates)
+    post_cells = [line.split(";")[3] for line in
+                  (tmp_path / "interval_rates.csv").read_text().splitlines()[2:]]
+    # the post interval exists exactly when the scenario has an event
+    assert all((cell == "nan") == (report.k_event is None)
+               for cell in post_cells)
+    delays = [report.delay_sfd[np.isfinite(report.delay_sfd)],
+              report.delay_dfd[np.isfinite(report.delay_dfd)]]
+    top = int(max((d.max() for d in delays if d.size), default=-1))
+    assert_cells(tmp_path / "detection_delays.csv", 1,
+                 ("delay", "n_sfd", "n_dfd"),
+                 [(t, np.count_nonzero(delays[0] == t),
+                   np.count_nonzero(delays[1] == t)) for t in range(top + 1)])
+    for rec in records:
+        n_sel = rec.states.shape[2]
+        assert_cells(
+            tmp_path / f"run_{rec.run:05d}.csv", 1,
+            ("k", "agent", "gamma", "quantized_priority", "sfd", "dfd",
+             *(f"x{j + 1}" for j in range(n_sel))),
+            [(k, i + 1, rec.gamma[k, i], rec.priorities[k, i], rec.sfd[k, i],
+              rec.dfd[k, i], *rec.states[k, i])
+             for k in ks for i in range(report.n_agents)])
 
 
 @pytest.fixture(scope="module")

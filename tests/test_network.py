@@ -7,32 +7,34 @@ from hypothesis import given, strategies as st
 from priofd.dynamics import AgentModel, draw_noise_block, noise_stream
 from priofd.errors import ConfigError
 from priofd.fd_dynamic import ThresholdTable, dfd_evaluate
-from priofd.network import ScheduleHistory, select_senders
+from priofd.network import ScheduleHistory, top_m
 from priofd.scenarios import PRESETS, bandwidth_loss
 from priofd.simulate import run_single
 
-from oracles import ref_quantize, ref_replay
+from oracles import ref_quantize, ref_replay, ref_senders
 
 
 class TestSelectSenders:
+    # top_m returns 0-based indices; agent ids are top_m(...) + 1
     def test_order_statistics(self):
-        assert select_senders([5, 3, 9, 1], 2) == (3, 1)
+        assert (top_m([5, 3, 9, 1], 2) + 1).tolist() == [3, 1]
 
     def test_tie_break_by_id(self):
-        assert select_senders([7, 7, 7, 7], 2) == (1, 2)
+        assert (top_m([7, 7, 7, 7], 2) + 1).tolist() == [1, 2]
 
     def test_saturation(self):
-        assert set(select_senders([1, 2, 3], 9)) == {1, 2, 3}
+        assert set((top_m([1, 2, 3], 9) + 1).tolist()) == {1, 2, 3}
 
     def test_nonpositive_bandwidth(self):
         with pytest.raises(ConfigError):
-            select_senders([1, 2], 0)
+            top_m([1, 2], 0)
 
     @given(st.lists(st.integers(0, 255), min_size=1, max_size=12),
            st.integers(1, 12))
     def test_count_and_soundness(self, qs, m):
-        winners = select_senders(qs, m)
+        winners = (top_m(qs, m) + 1).tolist()
         assert len(winners) == min(m, len(qs))
+        assert tuple(winners) == ref_senders(qs, m)
         losers = set(range(1, len(qs) + 1)) - set(winners)
         for w in winners:
             for l in losers:
@@ -115,8 +117,8 @@ class TestRoundPipeline:
         trace = run_single(desk_models, desk_cfg.bandwidth,
                            desk_cfg.quant_scale, 60, seed=9, run=0)
         for k in range(2, 60):
-            expect = select_senders(trace.priorities[k - 2],
-                                    desk_cfg.bandwidth)
+            expect = ref_senders(trace.priorities[k - 2].tolist(),
+                                 desk_cfg.bandwidth)
             got = tuple(np.flatnonzero(trace.gamma[k]) + 1)
             assert set(got) == set(expect)
 
@@ -127,8 +129,8 @@ class TestRoundPipeline:
                            run=0, select_on_raw=True)
         assert not trace.priorities.any()
         for k in range(2, 60):
-            expect = select_senders(trace.raw_priorities[k - 2],
-                                    desk_cfg.bandwidth)
+            expect = ref_senders(trace.raw_priorities[k - 2].tolist(),
+                                 desk_cfg.bandwidth)
             assert set(np.flatnonzero(trace.gamma[k]) + 1) == set(expect)
         assert trace.gamma[2:, 2:].any()
 

