@@ -38,25 +38,39 @@ HARNESS = "src/priofd/harness.py"
 CAL = "src/priofd/calibration.py"
 FD = "src/priofd/fd_dynamic.py"
 NET = "src/priofd/network.py"
+DYN = "src/priofd/dynamics.py"
 
 MUTANTS = [
     # the round engine
     (SIM, "        e_next[sent] = v[sent]\n", "",
      "no error reset after a received round"),
-    (SIM, "coupling = np.matmul(BigF, Xhat.reshape(R, N * n, 1))",
-     "coupling = np.matmul(BigF, X.reshape(R, N * n, 1))",
+    (SIM, "cross = np.matmul(C, Xhat.reshape(R, N * n, 1))",
+     "cross = np.matmul(C, X.reshape(R, N * n, 1))",
      "coupling on true states instead of shared estimates"),
     (SIM, 'e_pred = np.einsum("jk,rik->rij", P2, E)',
      'e_pred = np.einsum("jk,rik->rij", P1, E)',
      "one-step priority prediction"),
     (SIM, "ubase = np.where(sent[..., None], U, Uhat)", "ubase = Uhat",
      "estimate ignores the received control"),
-    (SIM, "coupling = np.matmul(BigF, Xhat.reshape(R, N * n, 1)).reshape(R, N, nb)",
-     "coupling = (Xhat.reshape(R, N * n) @ BigF.T).reshape(R, N, nb)",
+    (SIM, "cross = np.matmul(C, Xhat.reshape(R, N * n, 1)).reshape(R, N, nb)",
+     "cross = (Xhat.reshape(R, N * n) @ C.T).reshape(R, N, nb)",
      "single-gemm coupling across the runs of a chunk"),
-    (SIM, "    if any(not np.array_equal(getattr(mod, f), getattr(one, f))",
-     "    if False and any(not np.array_equal(getattr(mod, f), getattr(one, f))",
-     "agent 1's matrices run for a fleet whose agents differ"),
+    (SIM, "models.error_pred2, models.coupling\n",
+     "models.error_pred2, models.coupling.reshape(\n"
+     "        N, nb, N, n).transpose(2, 1, 0, 3).reshape(N * nb, N * n)\n",
+     "coupling block (i, j) applied as block (j, i)"),
+    (SIM, "                chol, noise_stream(seed, run, i + 1, PROCESS_NOISE)",
+     "                models.noise_chol[0],"
+     " noise_stream(seed, run, i + 1, PROCESS_NOISE)",
+     "every agent's noise drawn with agent 1's covariance"),
+    (SIM, """                      + np.einsum("mn,rin->rim", B, U[:, plant])
+                      * actuated[plant, None])""",
+     """                      + np.einsum("mn,rin->rim", B, U[:, plant]))""",
+     "a failed actuator still drives its plant"),
+    (DYN, "        if bad.size:\n", "        if False:\n",
+     "the fleet accepts a gain of an agent on its own estimate"),
+    # retired: agent 1's matrices run for a fleet whose agents differ; a
+    # Fleet holds one A, B, F_self and priority weight, so no fleet differs
     (NET, 'np.argsort(-p, axis=-1, kind="stable")',
      'p.shape[-1] - 1 - np.argsort(-p[..., ::-1], axis=-1, kind="stable")',
      "selection ties broken to the higher id"),

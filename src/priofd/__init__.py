@@ -5,7 +5,7 @@ Carlo threshold calibration, experiment harness."""
 from .calibration import (CalibrationConfig, SampleBank, calibrate,
                           fit_quantization_scale)
 from .config import SystemConfig, build_preset
-from .dynamics import AgentModel, noise_stream
+from .dynamics import Fleet, noise_stream
 from .errors import CalibrationError, ConfigError
 from .fd_dynamic import (Period, ThresholdTable, dfd_evaluate, dfd_verdicts,
                          partition_window)

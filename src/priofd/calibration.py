@@ -28,23 +28,22 @@ keep the effective sample size honest. Cells that fault-free operation
 never (or too rarely) produces keep kappa = +inf: a signature we cannot
 bound must never alarm.
 
-The round engine refuses a fleet whose agents differ in dynamics, gains
-or priority weight, so pooling a SystemConfig fleet's agents mixes no
-distributions. fit_quantization_scale, the raw-priority pre-pass that
-gives a config its scale, takes a model list and also refuses one whose
-noise covariances differ.
+A Fleet gives every agent the same dynamics, self gain and priority
+weight, and a SystemConfig fleet every agent the same noise and cross
+gain, so pooling its agents mixes no distributions.
+fit_quantization_scale, the raw-priority pre-pass that gives a config its
+scale, takes a Fleet and refuses one whose noise covariances differ.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .config import SystemConfig, check_run
-from .dynamics import AgentModel
+from .dynamics import Fleet
 from .errors import CalibrationError, ConfigError
 from .fd_dynamic import ThresholdTable, window_periods
 from .fd_static import window_sums
@@ -217,9 +216,8 @@ def write_calibration_report(bank: SampleBank, path) -> None:
                  np.r_[bank.sfd_count, counts[t1, t2, a]]))
 
 
-def fit_quantization_scale(models: Sequence[AgentModel], m: int, runs: int,
-                           run_length: int, seed: int,
-                           warmup_discard: int) -> float:
+def fit_quantization_scale(models: Fleet, m: int, runs: int, run_length: int,
+                           seed: int, warmup_discard: int) -> float:
     """Deployment quantization scale from a raw-priority pre-pass.
 
     Scheduling normally consumes quantized priorities, which requires the
@@ -228,8 +226,7 @@ def fit_quantization_scale(models: Sequence[AgentModel], m: int, runs: int,
     differs through ties) and maps the fitted percentile to just below the
     headroom target.
     """
-    if any(not np.array_equal(mod.noise_cov, models[0].noise_cov)
-           for mod in models):
+    if (models.noise_cov != models.noise_cov[0]).any():
         raise CalibrationError("agents have distinct noise covariances; the "
                                "scale fit pools their raw priorities")
     if runs < 1:

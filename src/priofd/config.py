@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import design
-from .dynamics import AgentModel
+from .dynamics import Fleet
 from .errors import ConfigError
 from .priority import SCALE_FIT_PERCENTILE
 
@@ -157,15 +157,14 @@ class SystemConfig:
     def n(self) -> int:
         return self.A.shape[0]
 
-    def models(self) -> list[AgentModel]:
-        """Instantiate the fleet (validates dimensions and PSD as it goes)."""
-        out = []
-        for i in range(1, self.n_agents + 1):
-            cross = {j: self.F_cross for j in range(1, self.n_agents + 1)
-                     if j != i}
-            out.append(AgentModel(i, self.A, self.B, self.F_self, cross,
-                                  self.noise_cov, self.priority_weight))
-        return out
+    def models(self) -> Fleet:
+        """The fleet: F_cross between every pair of agents, one noise
+        covariance for all (Fleet validates dimensions and PSD)."""
+        N, cov = self.n_agents, self.noise_cov
+        return Fleet(self.A, self.B, self.F_self,
+                     np.kron(1 - np.eye(N), self.F_cross),
+                     np.broadcast_to(cov, (N, *cov.shape)),
+                     self.priority_weight)
 
     def validate(self) -> None:
         if self.n_agents < 1:
@@ -175,9 +174,8 @@ class SystemConfig:
         check_run(self.eta, self.d, self.b, self.rounds, self.warmup_discard)
         if self.quant_scale is not None and self.quant_scale <= 0:
             raise ConfigError("quant_scale must be positive")
-        self.models()  # dimension + PSD checks
-        rho = design.closed_loop_spectral_radius(
-            self.A, self.B, self.F_self, self.F_cross, self.n_agents)
+        fleet = self.models()  # dimension + PSD checks
+        rho = design.closed_loop_spectral_radius(fleet)
         if rho >= 1.0:
             if not self.allow_unstable:
                 raise ConfigError(
@@ -185,8 +183,7 @@ class SystemConfig:
                     "set allow_unstable for deliberate unstable studies")
             log.warning("running with an unstable closed loop "
                         "(spectral radius %.4f)", rho)
-        rho_self = float(np.max(np.abs(np.linalg.eigvals(
-            self.A + self.B @ self.F_self))))
+        rho_self = float(np.max(np.abs(np.linalg.eigvals(fleet.closed_loop))))
         if rho_self >= 1.0:
             log.warning("per-agent error propagation A + B F_self has "
                         "spectral radius %.4f >= 1; estimation errors will "

@@ -91,15 +91,10 @@ def sync_lqr_gains(a: np.ndarray, b: np.ndarray, n_agents: int,
     return f_self, f_cross
 
 
-def closed_loop_spectral_radius(a: np.ndarray, b: np.ndarray,
-                                f_self: np.ndarray, f_cross: np.ndarray,
-                                n_agents: int) -> float:
-    """Spectral radius of the stacked closed loop A + BF (estimates exact)."""
-    n = a.shape[0]
-    acl = np.kron(np.eye(n_agents), a + b @ f_self)
-    cross = b @ f_cross
-    for i in range(n_agents):
-        for j in range(n_agents):
-            if i != j:
-                acl[i * n:(i + 1) * n, j * n:(j + 1) * n] = cross
+def closed_loop_spectral_radius(fleet) -> float:
+    """Spectral radius of a dynamics.Fleet's stacked closed loop A + BF
+    (estimates exact)."""
+    eye = np.eye(len(fleet))
+    acl = (np.kron(eye, fleet.closed_loop)
+           + np.kron(eye, fleet.B) @ fleet.coupling)
     return float(np.max(np.abs(np.linalg.eigvals(acl))))

@@ -29,17 +29,17 @@ The round in which a disturbance expires still takes the explicit-plant
 path.
 
 run_lockstep advances a chunk of R runs in one (R, N, n) state with one
-round loop; run_single is the chunk of one run. The fleet shares one model:
-every agent has the same A, B, F_self and priority weight (noise
-covariances and cross gains may differ), so each product is one shared
-matrix applied to every (run, agent) vector, an einsum such as
-"jk,rik->rij", and a fleet whose models differ is refused. Each run keeps
-its own noise streams and every output is stored run-major, so a run's
-RunTrace is the same bit for bit whatever chunk simulates it. That holds
-because every product sums in the same order for every run: the einsums
-sum each vector on its own, and the coupling term is a stacked matmul of
-BigF with each run's (N*n, 1) estimate column. One (R, N*n) @ BigF.T gemm
-would change its summation order with R, and so the float states; a plain
+round loop; run_single is the chunk of one run. The fleet (dynamics.Fleet)
+is one shared model: every agent has the same A, B, F_self and priority
+weight, and only noise covariances and cross gains differ, so each product
+is one shared matrix applied to every (run, agent) vector, an einsum such
+as "jk,rik->rij". Each run keeps its own noise streams and every output is
+stored run-major, so a run's RunTrace is the same bit for bit whatever
+chunk simulates it. That holds because every product sums in the same
+order for every run: the einsums sum each vector on its own, and the
+coupling term is a stacked matmul of the fleet's (N*m, N*n) coupling with
+each run's (N*n, 1) estimate column. One (R, N*n) @ coupling.T gemm would
+change its summation order with R, and so the float states; a plain
 E @ P2.T gemm sums in another order than the einsum and moves the states
 by about 1e-16.
 """
@@ -51,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import (AgentModel, DISTURBANCE_NOISE, PROCESS_NOISE,
+from .dynamics import (DISTURBANCE_NOISE, PROCESS_NOISE, Fleet,
                        draw_noise_block, noise_stream)
 from .errors import ConfigError
 from .network import top_m
@@ -86,42 +86,25 @@ def chunks(runs: int, run_cells: int, parts: int = 1) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def run_single(models: Sequence[AgentModel], m: int, scale: float,
-               rounds: int, seed: int, run: int,
-               scenario: Scenario | None = None,
+def run_single(models: Fleet, m: int, scale: float, rounds: int, seed: int,
+               run: int, scenario: Scenario | None = None,
                select_on_raw: bool = False) -> RunTrace:
     """Simulate one run; a pure function of its arguments."""
     return run_lockstep(models, m, scale, rounds, seed, range(run, run + 1),
                         scenario, select_on_raw)[0]
 
 
-def run_lockstep(models: Sequence[AgentModel], m: int, scale: float,
-                 rounds: int, seed: int, runs: Sequence[int],
-                 scenario: Scenario | None = None,
+def run_lockstep(models: Fleet, m: int, scale: float, rounds: int, seed: int,
+                 runs: Sequence[int], scenario: Scenario | None = None,
                  select_on_raw: bool = False) -> list[RunTrace]:
     """Simulate the given runs in lockstep; trace r is run_single of
     runs[r]. Selection uses the quantized priorities, or the raw ones with
     select_on_raw."""
-    ids = [mod.id for mod in models]
-    if not ids or ids != list(range(1, len(models) + 1)):
-        raise ConfigError(f"agent ids must be 1..N in order, got {ids}")
-    one = models[0]
-    if any(not np.array_equal(getattr(mod, f), getattr(one, f))
-           for mod in models for f in ("A", "B", "F_self", "priority_weight")):
-        raise ConfigError("agents have distinct dimensions or (A, B, F_self,"
-                          " priority_weight); the engine runs one model")
     if m <= 0:
         raise ConfigError(f"bandwidth M must be positive, got {m}")
-    N, R, n, nb = len(models), len(runs), one.n, one.m
-    A, B, Fself, W = one.A, one.B, one.F_self, one.priority_weight
-    P1, P2 = one.closed_loop, one.error_pred2
-    BigF = np.zeros((N * nb, N * n))
-    for i, mod in enumerate(models):
-        for j, gain in mod.F_cross.items():
-            if not 1 <= j <= N or j == mod.id:
-                raise ConfigError(f"agent {mod.id} has F_cross entry for "
-                                  f"invalid agent {j}")
-            BigF[i * nb:(i + 1) * nb, (j - 1) * n:j * n] = gain
+    N, R, (n, nb) = len(models), len(runs), models.B.shape
+    A, B, Fself, W = models.A, models.B, models.F_self, models.priority_weight
+    P1, P2, C = models.closed_loop, models.error_pred2, models.coupling
 
     # events grouped by round, checked before round 0
     scenario = scenario or fault_free()
@@ -133,9 +116,9 @@ def run_lockstep(models: Sequence[AgentModel], m: int, scale: float,
     # every output run-major, so a run's trace is one contiguous slice
     noise = np.zeros((R, rounds, N, n))
     for r, run in enumerate(runs):
-        for i, mod in enumerate(models):
+        for i, chol in enumerate(models.noise_chol):
             noise[r, :, i] = draw_noise_block(
-                mod, noise_stream(seed, run, mod.id, PROCESS_NOISE), rounds)
+                chol, noise_stream(seed, run, i + 1, PROCESS_NOISE), rounds)
     gamma = np.zeros((R, rounds + 2, N), dtype=bool)  # winners land 2 rows ahead
     q = np.zeros((R, rounds, N), dtype=np.int16)
     raw = np.zeros((R, rounds, N))
@@ -143,7 +126,7 @@ def run_lockstep(models: Sequence[AgentModel], m: int, scale: float,
     errors = np.zeros((R, rounds, N, n))
     Xhat = np.zeros((R, N, n))
     E = np.zeros((R, N, n))
-    plant_B = np.stack([B] * N)         # scenario mutations touch only this
+    actuated = np.ones(N, dtype=bool)   # cleared by set_B_zero
     matched = np.ones(N, dtype=bool)
     disturbances: dict[int, tuple] = {}  # index -> (chol, k0, until_k, draws)
     M = m
@@ -157,7 +140,7 @@ def run_lockstep(models: Sequence[AgentModel], m: int, scale: float,
             for agent in ev.agents:
                 i = agent - 1
                 if ev.kind == "set_B_zero":
-                    plant_B[i] = 0.0
+                    actuated[i] = False
                 else:  # add_disturbance: all its draws, one block per run
                     chol = np.linalg.cholesky(np.array(
                         ev.covariance, dtype=float) + 1e-12 * np.eye(n))
@@ -180,9 +163,9 @@ def run_lockstep(models: Sequence[AgentModel], m: int, scale: float,
         # controls: every agent from its true state, extrapolations from the
         # shared estimate; the coupling term is common to both
         sent = gamma[:, k]
-        coupling = np.matmul(BigF, Xhat.reshape(R, N * n, 1)).reshape(R, N, nb)
-        U = np.einsum("mn,rin->rim", Fself, X) + coupling
-        Uhat = np.einsum("mn,rin->rim", Fself, Xhat) + coupling
+        cross = np.matmul(C, Xhat.reshape(R, N * n, 1)).reshape(R, N, nb)
+        U = np.einsum("mn,rin->rim", Fself, X) + cross
+        Uhat = np.einsum("mn,rin->rim", Fself, Xhat) + cross
         base = np.where(sent[..., None], X, Xhat)
         ubase = np.where(sent[..., None], U, Uhat)
         xhat_next = (np.einsum("jk,rik->rij", A, base)
@@ -193,8 +176,9 @@ def run_lockstep(models: Sequence[AgentModel], m: int, scale: float,
         e_next[sent] = v[sent]
         plant = np.flatnonzero(~matched)
         if plant.size:
-            x_next = (np.matmul(A, X[:, plant, :, None])
-                      + np.matmul(plant_B[plant], U[:, plant, :, None]))[..., 0]
+            x_next = (np.matmul(A, X[:, plant, :, None])[..., 0]
+                      + np.einsum("mn,rin->rim", B, U[:, plant])
+                      * actuated[plant, None])
             x_next += v[:, plant]
             for j, i in enumerate(plant):
                 if i not in disturbances:
@@ -204,7 +188,7 @@ def run_lockstep(models: Sequence[AgentModel], m: int, scale: float,
                     x_next[:, j] += np.matmul(chol, draws[:, k - k0, :, None])[..., 0]
                 else:
                     del disturbances[i]
-                    matched[i] = np.array_equal(plant_B[i], B)
+                    matched[i] = actuated[i]
             e_next[:, plant] = x_next - xhat_next[:, plant]
         Xhat, E = xhat_next, e_next
 

@@ -1,10 +1,11 @@
 """Independent reference implementations used as test oracles.
 
-ref_control, ref_priority, ref_quantize and ref_round restate one round of
-the protocol agent by agent with plain matrix products, sharing no code
-with the batched round engine in priofd.simulate; ref_replay applies
-ref_round to every round of a recorded run. ref_senders restates the
-selection rule (top M, ties to the lower id) as a plain sort.
+ref_control, ref_gains, ref_priority, ref_quantize and ref_round restate
+one round of the protocol agent by agent with plain matrix products,
+sharing no code with the batched round engine in priofd.simulate (they
+read only the fleet's matrices, and recompute A + B F_self themselves);
+ref_replay applies ref_round to every round of a recorded run. ref_senders
+restates the selection rule (top M, ties to the lower id) as a plain sort.
 
 brute_partition re-derives the detection-window partition by literal
 scanning, sharing no code with the production partitioners;
@@ -29,13 +30,21 @@ from fractions import Fraction
 import numpy as np
 
 
-def ref_control(f_self, f_cross, x_self, xhat):
-    """u_i = F_ii x_i + sum_l F_il xhat_l; f_cross maps 1-based agent ids to
-    gains and xhat[l-1] is the shared estimate of agent l."""
+def ref_control(f_self, gains, x_self, xhat):
+    """u_i = F_ii x_i + sum_l F_il xhat_l; gains[l] is agent i's gain on
+    agent l+1 and xhat[l] the shared estimate of agent l+1."""
     u = f_self @ x_self
-    for j, gain in f_cross.items():
-        u = u + gain @ xhat[j - 1]
+    for gain, est in zip(gains, xhat):
+        u = u + gain @ est
     return u
+
+
+def ref_gains(coupling, i, n_agents):
+    """Agent i+1's gains on each agent's shared estimate: the N blocks of
+    row block i of an (N*m, N*n) coupling matrix, by plain slicing."""
+    m, n = coupling.shape[0] // n_agents, coupling.shape[1] // n_agents
+    return [coupling[i * m:(i + 1) * m, j * n:(j + 1) * n]
+            for j in range(n_agents)]
 
 
 def ref_priority(a, b, f_self, weight, e):
@@ -53,24 +62,26 @@ def ref_quantize(raw, scale):
     return min(255, math.floor(raw / scale))
 
 
-def ref_round(models, xhat, e, senders, v, scale):
-    """One round for plants that match their models. xhat, e and v are
+def ref_round(fleet, xhat, e, senders, v, scale):
+    """One round for plants that match the fleet's model. xhat, e and v are
     (N, n): shared estimates, estimation errors and process noise at round
     k, so the true states are x = xhat + e; senders holds the 1-based ids
     with gamma(k) = 1. Returns the quantized priorities, the shared
     estimates at k+1 and the true states at k+1."""
+    a, b, f_self = fleet.A, fleet.B, fleet.F_self
     x = xhat + e
     q, xhat_next, x_next = [], [], []
-    for i, mod in enumerate(models):
-        q.append(ref_quantize(ref_priority(mod.A, mod.B, mod.F_self,
-                                           mod.priority_weight, e[i]), scale))
-        u = ref_control(mod.F_self, mod.F_cross, x[i], xhat)
-        x_next.append(mod.A @ x[i] + mod.B @ u + v[i])
+    for i in range(len(xhat)):
+        gains = ref_gains(fleet.coupling, i, len(xhat))
+        q.append(ref_quantize(ref_priority(a, b, f_self,
+                                           fleet.priority_weight, e[i]), scale))
+        u = ref_control(f_self, gains, x[i], xhat)
+        x_next.append(a @ x[i] + b @ u + v[i])
         # a sender's measurement replaces the old estimate, predicted one
         # step ahead with the controller run on the shared estimates
-        base = x[i] if mod.id in senders else xhat[i]
-        u_hat = ref_control(mod.F_self, mod.F_cross, base, xhat)
-        xhat_next.append(mod.A @ base + mod.B @ u_hat)
+        base = x[i] if i + 1 in senders else xhat[i]
+        u_hat = ref_control(f_self, gains, base, xhat)
+        xhat_next.append(a @ base + b @ u_hat)
     return q, np.array(xhat_next), np.array(x_next)
 
 
@@ -82,14 +93,14 @@ def ref_senders(priorities, m):
     return tuple(ids[:m])
 
 
-def ref_replay(models, trace, scale):
+def ref_replay(fleet, trace, scale):
     """ref_round on every round k -> k+1 of a recorded run, started from its
     shared estimates (states - errors), its errors, its senders and its
     noise; yields (k, q, xhat_next, x_next) for k = 0..T-2."""
     xhat = trace.states - trace.errors
     for k in range(len(trace.gamma) - 1):
         senders = {int(i) + 1 for i in np.flatnonzero(trace.gamma[k])}
-        yield (k, *ref_round(models, xhat[k], trace.errors[k], senders,
+        yield (k, *ref_round(fleet, xhat[k], trace.errors[k], senders,
                              trace.noise[k], scale))
 
 

@@ -68,8 +68,8 @@ def traces100(desk_cfg, desk_models):
 def test_criterion_01_sfd_false_positive_self_consistency(heldout):
     rate_sfd = float(heldout.p_sfd[50:].mean())
     rate_dfd = float(heldout.p_dfd[50:].mean())
-    check(1, "held-out sFD per-timestep alarm rate within eta plus slack",
-          rate_sfd <= 0.015,
+    check(1, "held-out sFD and dFD per-timestep alarm rates within eta "
+          "plus slack", rate_sfd <= 0.015 and rate_dfd <= 0.015,
           f"sfd={rate_sfd:.5f} dfd={rate_dfd:.5f} bound=0.015 over "
           f"{heldout.runs} runs")
 

@@ -13,7 +13,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from priofd.calibration import (CalibrationConfig, SampleBank, calibrate,
                                 dfd_entries, fit_quantization_scale,
                                 nearest_rank, write_calibration_report)
-from priofd.dynamics import AgentModel
 from priofd.errors import CalibrationError, ConfigError
 from priofd.priority import QUANT_MAX, SCALE_FIT_PERCENTILE, quantize_batch
 
@@ -304,10 +303,9 @@ class TestScaleFit:
     def test_heterogeneous_fleet_refused(self, desk_cfg, desk_models):
         # the engine runs agents with distinct noise, but the scale fit
         # pools their raw priorities
-        odd = desk_models[:]
-        first = odd[0]
-        odd[0] = AgentModel(1, first.A, first.B, first.F_self, first.F_cross,
-                            2 * first.noise_cov, first.priority_weight)
+        cov = desk_models.noise_cov.copy()
+        cov[0] *= 2
+        odd = replace(desk_models, noise_cov=cov)
         with pytest.raises(CalibrationError, match="distinct"):
             fit_quantization_scale(odd, desk_cfg.bandwidth, runs=2,
                                    run_length=100, seed=0, warmup_discard=20)

@@ -43,11 +43,17 @@ def test_hash_sensitivity(desk_cfg, tmp_path):
 
 
 def test_models_fleet_structure(desk_cfg):
-    models = desk_cfg.models()
-    assert [m.id for m in models] == list(range(1, 7))
-    for m in models:
-        assert set(m.F_cross) == set(range(1, 7)) - {m.id}
-        assert np.array_equal(m.F_cross[(m.id % 6) + 1], desk_cfg.F_cross)
+    # block (i, j) of the coupling is F_cross for every pair i != j and
+    # zero on the diagonal; every agent has the config's noise
+    fleet = desk_cfg.models()
+    assert len(fleet) == 6
+    blocks = fleet.coupling.reshape(6, 1, 6, 4).transpose(0, 2, 1, 3)
+    for i in range(6):
+        for j in range(6):
+            assert np.array_equal(blocks[i, j],
+                                  0 * desk_cfg.F_cross if i == j
+                                  else desk_cfg.F_cross), (i, j)
+        assert np.array_equal(fleet.noise_cov[i], desk_cfg.noise_cov)
 
 
 def test_unstable_gains_refused(desk_cfg):

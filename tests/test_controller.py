@@ -7,20 +7,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from priofd.dynamics import AgentModel
+from priofd.dynamics import Fleet
 from priofd.errors import ConfigError
 from priofd.simulate import run_single
 
-from oracles import ref_control
+from oracles import ref_control, ref_gains
 
 
 def test_zero_gains_zero_input():
     # B != 0, so any input would move the state: plants take only the
     # noise, estimates only the fresh measurements
-    a, b, cov = np.eye(2), np.ones((2, 1)), 0.01 * np.eye(2)
-    models = [AgentModel(1, a, b, np.zeros((1, 2)), {2: np.zeros((1, 2))}, cov),
-              AgentModel(2, a, b, np.zeros((1, 2)), {}, cov)]
-    trace = run_single(models, 1, 1.0, 20, seed=0, run=0)
+    fleet = Fleet(np.eye(2), np.ones((2, 1)), np.zeros((1, 2)),
+                  np.zeros((2, 4)), [0.01 * np.eye(2)] * 2)
+    trace = run_single(fleet, 1, 1.0, 20, seed=0, run=0)
     x, xhat = trace.states, trace.states - trace.errors
     sent = trace.gamma[:-1, :, None]
     assert sent.any() and not sent.all()
@@ -32,22 +31,24 @@ def test_zero_gains_zero_input():
 def test_negative_identity_self_gain():
     # u = -x cancels the state in one step, sent or silent: the estimate
     # stays at zero and the state is the last noise draw
-    model = AgentModel(1, np.eye(2), np.eye(2), -np.eye(2), {},
-                       0.01 * np.eye(2))
-    trace = run_single([model], 1, 1.0, 20, seed=0, run=0)
+    fleet = Fleet(np.eye(2), np.eye(2), -np.eye(2), np.zeros((2, 2)),
+                  [0.01 * np.eye(2)])
+    trace = run_single(fleet, 1, 1.0, 20, seed=0, run=0)
     assert not trace.gamma[:2].any() and trace.gamma[2:].all()
     assert np.array_equal(trace.states, trace.errors)
     assert np.array_equal(trace.states[1:], trace.noise[:-1])
 
 
 def test_missing_estimate_is_config_error():
-    # a gain on an agent outside the fleet (or on itself) has no estimate
-    a, b = np.eye(2), np.zeros((2, 1))
-    for other in (3, 1):
-        models = [AgentModel(1, a, b, np.zeros((1, 2)), {other: np.ones((1, 2))}),
-                  AgentModel(2, a, b, np.zeros((1, 2)))]
-        with pytest.raises(ConfigError, match="F_cross"):
-            run_single(models, 1, 1.0, 1, seed=0, run=0)
+    # in a fleet of two, a gain on a third agent has no estimate, and a
+    # gain of agent 1 on its own estimate is not a cross gain
+    a, b, cov = np.eye(2), np.zeros((2, 1)), [np.eye(2)] * 2
+    outside, own = np.zeros((2, 6)), np.zeros((2, 4))
+    outside[0, 4:] = own[0, :2] = 1.0
+    for coupling, what in ((outside, "coupling shape"),
+                           (own, r"block \(1, 1\) is nonzero")):
+        with pytest.raises(ConfigError, match=what):
+            Fleet(a, b, np.zeros((1, 2)), coupling, cov)
 
 
 def silent_steps(trace):
@@ -64,10 +65,10 @@ def test_matches_direct_matrix_evaluation(desk_models, fault_free_traces):
     # structure evaluated directly on the shared estimates
     checked = 0
     for k, i, xhat, xhat_next in silent_steps(fault_free_traces[0]):
-        model = desk_models[i]
-        u = ref_control(model.F_self, model.F_cross, xhat[i], xhat)
-        assert np.allclose(xhat_next, model.A @ xhat[i] + model.B @ u,
-                           rtol=0, atol=1e-9), (k, i)
+        gains = ref_gains(desk_models.coupling, i, len(desk_models))
+        u = ref_control(desk_models.F_self, gains, xhat[i], xhat)
+        assert np.allclose(xhat_next, desk_models.A @ xhat[i]
+                           + desk_models.B @ u, rtol=0, atol=1e-9), (k, i)
         checked += 1
     assert checked > 1000
 
@@ -78,13 +79,13 @@ def test_synchronized_fleet_regulates_like_isolated_loop(desk_models,
     # estimates around the agent's own, so on identical states u equals
     # (F_self + sum F_cross) x, the gain the DARE saw on the synchronized
     # subspace
+    a, b = desk_models.A, desk_models.B
     for k, i, xhat, xhat_next in silent_steps(fault_free_traces[1]):
-        model = desk_models[i]
-        total = model.F_self + sum(model.F_cross.values())
-        spread = sum(gain @ (xhat[j - 1] - xhat[i])
-                     for j, gain in model.F_cross.items())
-        assert np.allclose(xhat_next, (model.A + model.B @ total) @ xhat[i]
-                           + model.B @ spread, rtol=0, atol=1e-9), (k, i)
+        gains = ref_gains(desk_models.coupling, i, len(desk_models))
+        total = desk_models.F_self + sum(gains)
+        spread = sum(gain @ (est - xhat[i]) for gain, est in zip(gains, xhat))
+        assert np.allclose(xhat_next, (a + b @ total) @ xhat[i] + b @ spread,
+                           rtol=0, atol=1e-9), (k, i)
 
 
 @given(alpha=st.floats(0.6, 4), seed=st.integers(0, 2**16),
@@ -98,11 +99,11 @@ def test_linearity(alpha, seed, sends):
     r = np.random.default_rng(seed)
     a, b, f = (r.normal(size=(3, 3)), r.normal(size=(3, 2)),
                r.normal(size=(2, 3)))
-    cross = [r.normal(size=(2, 3)) for _ in range(2)]
+    coupling = np.zeros((4, 6))
+    coupling[:2, 3:], coupling[2:, :3] = r.normal(size=(2, 2, 3))
 
     def fleet(cov):
-        return [AgentModel(i + 1, a, b, f, {2 - i: f_cross}, cov)
-                for i, f_cross in enumerate(cross)]
+        return Fleet(a, b, f, coupling, [cov] * 2)
 
     m = 2 if sends else 1
     base = run_single(fleet(np.eye(3)), m, 1e-250, 8, seed=seed, run=0)

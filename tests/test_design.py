@@ -9,6 +9,7 @@ from scipy.signal import cont2discrete
 
 import priofd
 from priofd import design
+from priofd.dynamics import Fleet
 
 
 def test_cartpole_open_loop_is_unstable():
@@ -34,8 +35,16 @@ def test_sync_lqr_stabilizes(n_agents):
     q2 = np.diag([1000.0, 0.0, 0.0, 0.0])
     r = np.array([[0.1]])
     f_self, f_cross = design.sync_lqr_gains(a, b, n_agents, q1, q2, r)
-    rho = design.closed_loop_spectral_radius(a, b, f_self, f_cross, n_agents)
+    rho = design.closed_loop_spectral_radius(Fleet(
+        a, b, f_self, np.kron(1 - np.eye(n_agents), f_cross),
+        np.zeros((n_agents, 4, 4))))
     assert rho < 1.0
+    # the stacked loop built block by block: A + B F_self on the diagonal,
+    # B F_cross off it
+    cross = b @ f_cross
+    acl = (np.kron(np.eye(n_agents), a + b @ f_self - cross)
+           + np.kron(np.ones((n_agents, n_agents)), cross))
+    assert np.isclose(rho, np.abs(np.linalg.eigvals(acl)).max(), rtol=1e-12)
     # the per-agent extrapolation loop must be stable too, or silent-round
     # estimation errors diverge
     rho_self = np.max(np.abs(np.linalg.eigvals(a + b @ f_self)))

@@ -4,9 +4,11 @@ from the same shared estimate, and a transmitted measurement replaces the
 estimate, predicted one step ahead. Each test reads whole run_single
 traces; shared estimates are states - errors."""
 
+from dataclasses import replace
+
 import numpy as np
 
-from priofd.dynamics import AgentModel
+from priofd.dynamics import Fleet
 from priofd.scenarios import Event, Scenario, actuator_failure
 from priofd.simulate import run_single
 
@@ -17,10 +19,10 @@ class TestComputeError:
     def test_zero_when_equal(self):
         # B = 0: the failed plant still equals the model, so the explicit
         # plant path (e = x - xhat) gives the model path's run
-        model = AgentModel(1, np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)),
-                           {}, 0.01 * np.eye(2))
-        intact = run_single([model], 1, 1.0, 20, seed=0, run=0)
-        failed = run_single([model], 1, 1.0, 20, seed=0, run=0,
+        fleet = Fleet(np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)),
+                      np.zeros((1, 2)), [0.01 * np.eye(2)])
+        intact = run_single(fleet, 1, 1.0, 20, seed=0, run=0)
+        failed = run_single(fleet, 1, 1.0, 20, seed=0, run=0,
                             scenario=actuator_failure((1,), 0))
         assert np.array_equal(failed.gamma, intact.gamma)
         assert np.allclose(failed.errors, intact.errors, rtol=0, atol=1e-14)
@@ -29,14 +31,14 @@ class TestComputeError:
     def test_componentwise(self):
         # agent 1's actuator fails at k=0: its plant runs without input
         # while every estimate assumes one
-        models = coupled_pair()
-        trace = run_single(models, 1, 1.0, 30, seed=0, run=0,
+        fleet = coupled_pair()
+        trace = run_single(fleet, 1, 1.0, 30, seed=0, run=0,
                            scenario=actuator_failure((1,), 0))
         x, xhat = trace.states, trace.states - trace.errors
-        for k, _, xhat_next, x_next in ref_replay(models, trace, 1.0):
+        for k, _, xhat_next, x_next in ref_replay(fleet, trace, 1.0):
             assert np.allclose(xhat[k + 1], xhat_next, rtol=0, atol=1e-14)
             assert np.allclose(x[k + 1, 0],
-                               models[0].A @ x[k, 0] + trace.noise[k, 0],
+                               fleet.A @ x[k, 0] + trace.noise[k, 0],
                                rtol=0, atol=1e-14)
             assert np.allclose(x[k + 1, 1], x_next[1], rtol=0, atol=1e-14)
         assert trace.errors[2:, 0].any()
@@ -47,9 +49,8 @@ def coupled_pair(noise1=1e-3):
     b = np.array([[0.0], [0.2]])
     f_self = np.array([[-0.4, -1.1]])
     f_cross = np.array([[0.05, 0.02]])
-    m1 = AgentModel(1, a, b, f_self, {2: f_cross}, noise1 * np.eye(2))
-    m2 = AgentModel(2, a, b, f_self, {1: f_cross}, 1e-3 * np.eye(2))
-    return m1, m2
+    return Fleet(a, b, f_self, np.kron(1 - np.eye(2), f_cross),
+                 [noise1 * np.eye(2), 1e-3 * np.eye(2)])
 
 
 class TestPropagateEstimate:
@@ -57,17 +58,17 @@ class TestPropagateEstimate:
         # agent 1 has no process noise; a disturbance over rounds 0..8
         # leaves it an error, and each measurement it sends once its plant
         # rejoins the model (k > 9) discards the stale estimate: e = 0
-        models = coupled_pair(noise1=0.0)
+        fleet = coupled_pair(noise1=0.0)
         shake = Scenario("shake", [Event(0, "add_disturbance", agents=(1,),
                                          covariance=((1e-3, 0.0), (0.0, 1e-3)),
                                          duration=9)])
-        trace = run_single(models, 1, 1e-4, 60, seed=0, run=0,
+        trace = run_single(fleet, 1, 1e-4, 60, seed=0, run=0,
                            scenario=shake)
         sends = np.flatnonzero(trace.gamma[10:-1, 0]) + 10
         assert sends.size and trace.errors[sends[0], 0].any()
         for k in sends:
             assert not trace.errors[k + 1, 0].any()
-        for k, _, xhat_next, x_next in ref_replay(models, trace, 1e-4):
+        for k, _, xhat_next, x_next in ref_replay(fleet, trace, 1e-4):
             if k > 9:
                 assert np.allclose(trace.states[k + 1] - trace.errors[k + 1],
                                    xhat_next, rtol=0, atol=1e-14)
@@ -77,11 +78,11 @@ class TestPropagateEstimate:
     def test_extrapolation_exact_under_zero_noise(self):
         # agent 1 has no process noise and starts at e = 0, so its estimate
         # extrapolates its state exactly while agent 2's noise moves both
-        models = coupled_pair(noise1=0.0)
-        trace = run_single(models, 1, 1e-4, 30, seed=0, run=0)
+        fleet = coupled_pair(noise1=0.0)
+        trace = run_single(fleet, 1, 1e-4, 30, seed=0, run=0)
         assert not trace.errors[:, 0].any()
         assert trace.states[1:, 0].any()
-        for k, _, xhat_next, x_next in ref_replay(models, trace, 1e-4):
+        for k, _, xhat_next, x_next in ref_replay(fleet, trace, 1e-4):
             assert np.allclose(trace.states[k + 1, 0], x_next[0], rtol=0,
                                atol=1e-14)
             assert np.allclose(trace.states[k + 1, 0], xhat_next[0], rtol=0,
@@ -91,11 +92,9 @@ class TestPropagateEstimate:
         # A=I, B=0: the closed-loop difference of the extrapolation fixes e,
         # so a silent agent's error only accumulates noise; a tiny scale
         # saturates both priorities and agent 1 wins every slot
-        model = AgentModel(1, np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)),
-                           {}, 0.01 * np.eye(2))
-        other = AgentModel(2, model.A, model.B, model.F_self, {},
-                           model.noise_cov)
-        trace = run_single([model, other], 1, 1e-250, 20, seed=0, run=0)
+        fleet = Fleet(np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)),
+                      np.zeros((2, 4)), [0.01 * np.eye(2)] * 2)
+        trace = run_single(fleet, 1, 1e-250, 20, seed=0, run=0)
         assert not trace.gamma[:, 1].any()
         err = trace.errors[:, 1]
         assert np.array_equal(err[1:], err[:-1] + trace.noise[:-1, 1])
@@ -104,13 +103,13 @@ class TestPropagateEstimate:
     def test_received_round_error_equals_noise(self):
         # e(k+1) = v(k) after a communicated round, by substituting the
         # update rule into the plant step
-        models = coupled_pair()
-        trace = run_single(models, 1, 1e-4, 30, seed=0, run=0)
+        fleet = coupled_pair()
+        trace = run_single(fleet, 1, 1e-4, 30, seed=0, run=0)
         ks, agents = np.nonzero(trace.gamma[:-1])
         assert set(agents) == {0, 1}
         for k, i in zip(ks, agents):
             assert np.array_equal(trace.errors[k + 1, i], trace.noise[k, i])
-        for k, _, xhat_next, x_next in ref_replay(models, trace, 1e-4):
+        for k, _, xhat_next, x_next in ref_replay(fleet, trace, 1e-4):
             for i in np.flatnonzero(trace.gamma[k]):
                 assert np.allclose(x_next[i] - xhat_next[i],
                                    trace.noise[k, i], rtol=0, atol=1e-15)
@@ -145,9 +144,7 @@ class TestEngineErrorProperties:
     def test_estimates_shared_single_copy(self, desk_cfg, desk_models):
         # zero noise, zero start: estimates and states stay at equilibrium,
         # which only holds if every agent consumes the same shared estimate
-        quiet = [AgentModel(m.id, m.A, m.B, m.F_self, m.F_cross,
-                            np.zeros((4, 4)), m.priority_weight)
-                 for m in desk_models]
+        quiet = replace(desk_models, noise_cov=np.zeros((6, 4, 4)))
         trace = run_single(quiet, desk_cfg.bandwidth, desk_cfg.quant_scale,
                            20, seed=0, run=0)
         assert not trace.states.any()

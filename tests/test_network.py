@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from priofd.dynamics import AgentModel, draw_noise_block, noise_stream
+from priofd.dynamics import Fleet, draw_noise_block, noise_stream
 from priofd.errors import ConfigError
 from priofd.fd_dynamic import ThresholdTable, dfd_evaluate
 from priofd.network import ScheduleHistory, top_m
@@ -105,9 +105,9 @@ class TestRoundPipeline:
         assert trace.gamma[2].sum() == desk_cfg.bandwidth
 
     def test_single_agent_sends_every_round(self):
-        model = AgentModel(1, np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)),
-                           {}, 0.01 * np.eye(2))
-        trace = run_single([model], m=1, scale=1e-6, rounds=30, seed=5, run=0)
+        fleet = Fleet(np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)),
+                      np.zeros((1, 2)), [0.01 * np.eye(2)])
+        trace = run_single(fleet, m=1, scale=1e-6, rounds=30, seed=5, run=0)
         assert not trace.gamma[:2].any()
         assert trace.gamma[2:, 0].all()
         for k in range(2, 29):
@@ -138,12 +138,15 @@ class TestRoundPipeline:
         # independent re-simulation: random-walk errors (A=I, B=0), priority
         # is the squared error norm, one slot, two-round winner delay
         n_agents, rounds, seed, scale = 3, 14, 21, 0.05
-        models = [AgentModel(i, np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)),
-                             {}, np.eye(2)) for i in range(1, n_agents + 1)]
-        trace = run_single(models, m=1, scale=scale, rounds=rounds,
+        fleet = Fleet(np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)),
+                      np.zeros((n_agents, 2 * n_agents)),
+                      [np.eye(2)] * n_agents)
+        trace = run_single(fleet, m=1, scale=scale, rounds=rounds,
                            seed=seed, run=0)
 
-        noise = np.stack([draw_noise_block(models[i], noise_stream(seed, 0, i + 1, 0), rounds)
+        noise = np.stack([draw_noise_block(fleet.noise_chol[i],
+                                           noise_stream(seed, 0, i + 1, 0),
+                                           rounds)
                           for i in range(n_agents)], axis=1)
         e = np.zeros((n_agents, 2))
         pipe = deque([(), ()])
@@ -186,9 +189,6 @@ class TestRoundPipeline:
 
     def test_fleet_and_bandwidth_refused(self, desk_models):
         # before round 0: even a run of no rounds is refused
-        swapped = [desk_models[1], desk_models[0], *desk_models[2:]]
-        with pytest.raises(ConfigError, match="1..N in order"):
-            run_single(swapped, 2, 1.0, 0, seed=0, run=0)
         for m in (0, -1):
             with pytest.raises(ConfigError, match="M must be positive"):
                 run_single(desk_models, m, 1.0, 0, seed=0, run=0)

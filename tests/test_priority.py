@@ -3,11 +3,13 @@ predicted two rounds ahead, its quadratic measure, and the saturating 8-bit
 quantizer. Engine priorities are read off whole run_single traces, against
 the errors the same trace records."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from priofd.dynamics import AgentModel
+from priofd.dynamics import Fleet
 from priofd.errors import ConfigError
 from priofd.priority import QUANT_MAX, quantize_batch
 from priofd.simulate import run_single
@@ -15,24 +17,26 @@ from priofd.simulate import run_single
 from oracles import ref_priority, ref_quantize
 
 
-def identity_loop_model(ident=1, cov=0.01):
-    # A = I, B = 0 makes the closed loop (and its square) the identity
-    return AgentModel(ident, np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)),
-                      {}, cov * np.eye(2))
+def identity_loop_fleet(*covs, a=1.0):
+    """Uncoupled agents with A = a I and B = 0, so the closed loop is a I;
+    agent i+1 has noise covariance covs[i] I."""
+    n_agents = len(covs)
+    return Fleet(a * np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)),
+                 np.zeros((n_agents, 2 * n_agents)),
+                 [cov * np.eye(2) for cov in covs])
 
 
 def half_quiet_desk(desk_models):
     """The desk fleet with agents 2 and 5 noise free: their errors stay
     zero while the others' move."""
-    return [AgentModel(m.id, m.A, m.B, m.F_self, m.F_cross,
-                       None if m.id in (2, 5) else m.noise_cov,
-                       m.priority_weight) for m in desk_models]
+    cov = desk_models.noise_cov.copy()
+    cov[[1, 4]] = 0.0
+    return replace(desk_models, noise_cov=cov)
 
 
 class TestComputePriority:
     def test_zero_error_zero_priority(self):
-        fleet = [identity_loop_model(1), identity_loop_model(2, cov=0.0)]
-        trace = run_single(fleet, 1, 1e-4, 20, seed=0, run=0)
+        trace = run_single(identity_loop_fleet(0.01, 0.0), 1, 1e-4, 20, seed=0, run=0)
         assert trace.errors[1:, 0].any()
         # every error starts at zero, and the noise-free agent's stays so
         assert not trace.errors[0].any() and not trace.errors[:, 1].any()
@@ -40,7 +44,7 @@ class TestComputePriority:
             assert not prio[0].any() and not prio[:, 1].any()
 
     def test_euclidean_norm_when_weight_identity(self):
-        trace = run_single([identity_loop_model()], 1, 1e-4, 30, seed=0,
+        trace = run_single(identity_loop_fleet(0.01), 1, 1e-4, 30, seed=0,
                            run=0)
         raw, err = trace.raw_priorities[:, 0], trace.errors[:, 0]
         assert np.allclose(raw, np.einsum("kj,kj->k", err, err), rtol=1e-15,
@@ -53,9 +57,9 @@ class TestComputePriority:
         # covariance 4I doubles the noise (both covariance traces are >= 1,
         # so the Cholesky jitter scales too); a lone agent's schedule does
         # not depend on its priorities
-        p1 = run_single([identity_loop_model(cov=1.0)], 1, 1.0, 20, seed=3,
+        p1 = run_single(identity_loop_fleet(1.0), 1, 1.0, 20, seed=3,
                         run=0).raw_priorities
-        p2 = run_single([identity_loop_model(cov=4.0)], 1, 1.0, 20, seed=3,
+        p2 = run_single(identity_loop_fleet(4.0), 1, 1.0, 20, seed=3,
                         run=0).raw_priorities
         assert p1[1:].all()
         assert np.allclose(p2, 4 * p1, rtol=1e-12, atol=0)
@@ -73,10 +77,11 @@ class TestComputePriority:
         # predict two steps then weight: equals e' ((A+BF)')^2 (A+BF)^2 e
         trace = fault_free_traces[0]
         for k in range(len(trace.gamma)):
-            for i, model in enumerate(desk_models):
+            for i in range(len(desk_models)):
                 assert np.isclose(trace.raw_priorities[k, i],
-                                  ref_priority(model.A, model.B, model.F_self,
-                                               model.priority_weight,
+                                  ref_priority(desk_models.A, desk_models.B,
+                                               desk_models.F_self,
+                                               desk_models.priority_weight,
                                                trace.errors[k, i]),
                                   rtol=1e-12), (k, i)
 
@@ -93,10 +98,7 @@ class TestPredictError:
         # A = I/2: a silent error halves each round, and the priority is
         # ||e/4||^2; a tiny scale saturates both priorities, so agent 1
         # wins every slot and agent 2 stays silent
-        fleet = [AgentModel(i, 0.5 * np.eye(2), np.zeros((2, 1)),
-                            np.zeros((1, 2)), {}, 0.01 * np.eye(2))
-                 for i in (1, 2)]
-        trace = run_single(fleet, 1, 1e-250, 20, seed=0, run=0)
+        trace = run_single(identity_loop_fleet(0.01, 0.01, a=0.5), 1, 1e-250, 20, seed=0, run=0)
         assert not trace.gamma[:, 1].any()
         err = trace.errors[:, 1]
         assert np.array_equal(err[1:], 0.5 * err[:-1] + trace.noise[:-1, 1])
@@ -114,7 +116,7 @@ class TestPredictError:
             g, err, v = trace.gamma, trace.errors, trace.noise
             for k in range(len(g) - 2):
                 for i in np.flatnonzero(~g[k] & ~g[k + 1]):
-                    a_cl = desk_models[i].closed_loop
+                    a_cl = desk_models.closed_loop
                     e2 = err[k + 2, i] - a_cl @ v[k, i] - v[k + 1, i]
                     assert np.isclose(trace.raw_priorities[k, i], e2 @ e2,
                                       rtol=1e-9, atol=1e-15), (k, i)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from priofd.config import SystemConfig
-from priofd.errors import ConfigError
+from priofd.dynamics import Fleet
 from priofd.scenarios import PRESETS, Event, Scenario
 from priofd.simulate import (CHUNK_CELLS, RunTrace, chunks, run_lockstep,
                              run_single)
@@ -44,6 +44,15 @@ COMBINED = Scenario("combined", [
 CASES = {**{name: (make(), False) for name, make in PRESETS.items()},
          "combined": (COMBINED, False), "select-on-raw": (None, True)}
 
+# three agents on the desk plant with distinct noise and a distinct gain
+# per ordered pair, agents 1 and 3 uncoupled: a coupling block read as its
+# transpose, or an agent's noise drawn with another's covariance, changes
+# the run
+PAIR_GAINS = np.array([[0.0, 0.5, 0.0], [1.5, 0.0, 1.0], [0.0, 0.25, 0.0]])
+ASYMMETRIC = Fleet(DESK.A, DESK.B, DESK.F_self,
+                   np.kron(PAIR_GAINS, DESK.F_cross),
+                   [c * np.eye(4) for c in (3e-4, 1e-4, 6e-4)])
+
 # sha256 of gamma (uint8) and priorities (<i2), run after run, of desk seed
 # 7, runs 0..7: taken from the per-run engine, which the chunk engine must
 # reproduce exactly
@@ -55,10 +64,10 @@ PINNED = {
 }
 
 
-def lockstep(runs, scenario=None, select_on_raw=False):
-    return run_lockstep(DESK.models(), DESK.bandwidth, DESK.quant_scale,
-                        DESK.rounds, 7, runs, scenario=scenario,
-                        select_on_raw=select_on_raw)
+def lockstep(runs, scenario=None, select_on_raw=False, fleet=None):
+    return run_lockstep(fleet or DESK.models(), DESK.bandwidth,
+                        DESK.quant_scale, DESK.rounds, 7, runs,
+                        scenario=scenario, select_on_raw=select_on_raw)
 
 
 def same_bits(a: RunTrace, b: RunTrace) -> bool:
@@ -103,38 +112,26 @@ def test_integer_schedule_pinned(name):
     assert h.hexdigest() == PINNED[name]
 
 
-@pytest.mark.parametrize("scenario", [None, COMBINED], ids=["fault-free",
-                                                            "combined"])
-def test_chunk_matches_oracle(scenario):
+@pytest.mark.parametrize("fleet, scenario", [
+    (DESK.models(), None), (DESK.models(), COMBINED), (ASYMMETRIC, None)],
+    ids=["fault-free", "combined", "asymmetric"])
+def test_chunk_matches_oracle(fleet, scenario):
     # every round of every run of one chunk against the agent-by-agent
     # oracle; a plant that the scenario has changed is compared on
     # priorities and estimates only
-    models = DESK.models()
-    matched = np.ones((DESK.rounds, DESK.n_agents), dtype=bool)
+    matched = np.ones((DESK.rounds, len(fleet)), dtype=bool)
     for ev in (scenario.events if scenario else ()):
         end = ev.k + ev.duration + 1 if ev.kind == "add_disturbance" else None
         matched[ev.k:end, [a - 1 for a in ev.agents]] = False
-    for trace in lockstep(range(3, 8), scenario):
+    for trace in lockstep(range(3, 8), scenario, fleet=fleet):
         xhat = trace.states - trace.errors
-        for k, q, xhat_next, x_next in ref_replay(models, trace,
+        for k, q, xhat_next, x_next in ref_replay(fleet, trace,
                                                   DESK.quant_scale):
             assert q == trace.priorities[k].tolist(), k
             assert np.allclose(xhat[k + 1], xhat_next, atol=1e-9), k
             ok = matched[k]
             assert np.allclose(trace.states[k + 1, ok], x_next[ok],
                                atol=1e-9), k
-
-
-@pytest.mark.parametrize("field", ["A", "B", "F_self", "priority_weight"])
-def test_fleet_of_distinct_models_refused(field):
-    # the engine simulates one shared model, so a fleet in which agent 3
-    # differs must be refused rather than run on agent 1's matrices
-    models = DESK.models()
-    models[2] = dataclasses.replace(models[2],
-                                    **{field: 1.5 * getattr(models[2], field)})
-    with pytest.raises(ConfigError, match="distinct"):
-        run_lockstep(models, DESK.bandwidth, DESK.quant_scale, DESK.rounds,
-                     7, range(2))
 
 
 def test_chunks_cover_runs_in_order():
