@@ -83,6 +83,13 @@ MUTANTS = [
      "kernel: period sums leave out their last round"),
     (FD, "h_count = n_comm + ~g[ks]", "h_count = n_comm + 1",
      "kernel: a trailing silent period after a communicating round"),
+    # the sample bank
+    (CAL, "        self.rows[self.row[cell]] += other.rows[other.row[cell]]",
+     "        self.rows[self.row[cell]] = other.rows[other.row[cell]]",
+     "merge overwrites a cell's row instead of adding to it"),
+    (CAL, "            self.row[new] = np.arange(n, n + new.size)",
+     "            self.row[new] = np.arange(new.size)",
+     "new cells get rows numbered from 0 instead of from len(rows)"),
     # aggregation, refusals and the CSV format
     (HARNESS, "    if seed == table.seed:", "    if False:",
      "no in-sample seed check"),
@@ -122,8 +129,8 @@ MUTANTS = [
     (FD, "    def save(self, path: str | Path) -> None:",
      "    def write(self, path: str | Path) -> None:",
      "perfbench surface: ThresholdTable.save renamed"),
-    (CAL, "              seed: int) -> tuple[ThresholdTable, SampleBank]:",
-     "              seed: int, /) -> tuple[ThresholdTable, SampleBank]:",
+    (CAL, "def calibrate(cfg: SystemConfig, runs: int, seed: int,\n",
+     "def calibrate(cfg: SystemConfig, runs: int, seed: int, /,\n",
      "perfbench surface: calibrate's runs positional-only"),
 ]
 

@@ -59,7 +59,8 @@ def main() -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.time()
-    table, bank = calibrate(cfg, runs=cal_runs, seed=args.seed + 1)
+    table, bank = calibrate(cfg, runs=cal_runs, seed=args.seed + 1,
+                            workers=args.workers)
     table.save(outdir / "thresholds.pfdt")
     write_calibration_report(bank, outdir / "calibration_coverage.csv")
     print(f"[{time.time() - t0:7.1f}s] calibrated on {cal_runs} runs: "

@@ -1,13 +1,16 @@
 """Monte Carlo threshold calibration for both detectors.
 
-calibrate(cfg, runs, seed) is the one entry point. It simulates `runs`
-fault-free runs of the fleet a SystemConfig describes, with noise keyed on
-(seed, run), in lockstep chunks (simulate.run_lockstep), and bins run by
-run, in run order, every window sum and period sum at rounds >=
-cfg.warmup_discard into a SampleBank. Models, bandwidth, quantization
-scale, eta, d, b and the run length all come from cfg. It then refuses a
-bank too thin for the sFD percentile, takes that percentile, and tabulates
-the dFD entries (dfd_entries).
+calibrate(cfg, runs, seed, workers=1) is the one entry point. It simulates
+`runs` fault-free runs of the fleet a SystemConfig describes, with noise
+keyed on (seed, run), in lockstep chunks (simulate.run_lockstep), and bins
+run by run every window sum and period sum at rounds >= cfg.warmup_discard
+into one SampleBank per chunk. The chunks run in this process, or over a
+pool of `workers` processes (simulate.map_chunks), and their banks are
+merged in chunk order; a merge is exact integer addition, so the bank, and
+every artifact, is the same for any worker count. Models, bandwidth,
+quantization scale, eta, d, b and the run length all come from cfg. It
+then refuses a bank too thin for the sFD percentile, takes that
+percentile, and tabulates the dFD entries (dfd_entries).
 
 Thresholds are empirical percentiles of fault-free statistics. The sFD
 threshold is the 100(1-eta)th percentile of pooled window sums; each dFD
@@ -19,8 +22,10 @@ quantization scale's percentile are one nearest-rank order statistic
 
 (the rank rule is _rank), so calibration is a pure function of (config,
 runs, seed). Quantized sums are small integers, so sample multisets are
-exact histograms; dfd_entries visits each observed (T1, T2, a) cell once
-and reads its d levels in one nearest_rank call.
+exact histograms. A bank keeps a histogram only for the (T1, T2, a) cells
+it has observed (a desk calibration fills about 200 of 3,200), and
+dfd_entries visits each of them once and reads its d levels in one
+nearest_rank call.
 
 Samples within a run are autocorrelated; the percentile remains a
 consistent estimator of the marginal quantile, and many independent runs
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -49,7 +55,7 @@ from .fd_dynamic import ThresholdTable, window_periods
 from .fd_static import window_sums
 from .harness import write_table
 from .priority import QUANT_MAX, SCALE_FIT_PERCENTILE, SCALE_HEADROOM_TARGET
-from .simulate import chunks, run_lockstep
+from .simulate import chunks, map_chunks, run_lockstep
 # perfbench wraps run_single here; a benchmark-only change moves that to run_lockstep
 from .simulate import run_single  # noqa: F401
 
@@ -82,18 +88,24 @@ class CalibrationConfig:
 class SampleBank:
     """Exact multisets of fault-free sums, histogram backed.
 
-    sfd_hist[s] counts window sums equal to s; dfd_hist[T1-1, T2-1, a, s]
-    counts period sums with that signature.
+    sfd_hist[s] counts window sums equal to s. Period sums get one
+    histogram row per observed (T1, T2, a) cell: row[c] is the row of flat
+    cell c = ((T1-1)*b + T2-1)*2 + a, or -1 while c is unseen, and
+    rows[row[c], s] counts its period sums equal to s. So the bank grows
+    with the observed cells, not with b*b*2 of them, and two banks add up
+    exactly (merge).
     """
     d: int
     b: int
     sfd_hist: np.ndarray = field(init=False)
-    dfd_hist: np.ndarray = field(init=False)
+    row: np.ndarray = field(init=False)
+    rows: np.ndarray = field(init=False)
 
     def __post_init__(self):
         top = QUANT_MAX * self.d + 1
         self.sfd_hist = np.zeros(top, dtype=np.int64)
-        self.dfd_hist = np.zeros((self.b, self.b, 2, top), dtype=np.int64)
+        self.row = np.full(self.b * self.b * 2, -1, dtype=np.int64)
+        self.rows = np.zeros((0, top), dtype=np.int64)
 
     @property
     def sfd_count(self) -> int:
@@ -101,28 +113,68 @@ class SampleBank:
 
     @property
     def dfd_count(self) -> int:
-        return int(self.dfd_hist.sum())
+        return int(self.rows.sum())
 
     def cell_counts(self) -> np.ndarray:
-        return self.dfd_hist.sum(axis=3)
+        """Period sums per cell, as a (b, b, 2) array over (T1-1, T2-1, a)."""
+        counts = np.zeros(self.row.size, dtype=np.int64)
+        seen = self.row >= 0
+        counts[seen] = self.rows.sum(axis=1)[self.row[seen]]
+        return counts.reshape(self.b, self.b, 2)
+
+    def observed(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """The observed cells in (T1, T2, a) order, as index arrays
+        (T1-1, T2-1, a), and their period-sum histograms, one row each."""
+        cell = np.flatnonzero(self.row >= 0)
+        return (np.unravel_index(cell, (self.b, self.b, 2)),
+                self.rows[self.row[cell]])
+
+    def _add_cells(self, cell: np.ndarray) -> None:
+        """A zero histogram row for every cell in `cell` not yet seen."""
+        new = np.unique(cell[self.row[cell] < 0])
+        if new.size:
+            n = len(self.rows)
+            self.row[new] = np.arange(n, n + new.size)
+            self.rows = np.concatenate(
+                (self.rows, np.zeros((new.size, self.rows.shape[1]),
+                                     dtype=np.int64)))
+
+    def add_sums(self, windows: np.ndarray, t1: np.ndarray, t2: np.ndarray,
+                 a: np.ndarray, sums: np.ndarray) -> None:
+        """Bin the window sums `windows`, and the period sums `sums` with
+        signatures (t1, t2, a), 1 <= t1 <= t2 <= b."""
+        top = self.sfd_hist.size
+        self.sfd_hist += np.bincount(windows, minlength=top)
+        cell = ((t1 - 1) * self.b + (t2 - 1)) * 2 + a
+        self._add_cells(cell)
+        np.add.at(self.rows.reshape(-1), self.row[cell] * top + sums, 1)
 
     def add_trace(self, gamma: np.ndarray, priorities: np.ndarray,
                   start_k: int) -> None:
         """Collect every window sum and period sum at rounds >= start_k."""
-        n_agents = gamma.shape[1]
         d, b = self.d, self.b
         start_k = max(start_k, d - 1)
-        top = self.sfd_hist.shape[0]
-        flat: list[np.ndarray] = []
-        for i in range(n_agents):
-            sums = window_sums(priorities[:, i], d)
-            post = sums[start_k - (d - 1):]
-            self.sfd_hist += np.bincount(post, minlength=top)
-            rows = window_periods(gamma[:, i], priorities[:, i], d, b, start_k)
-            tab = rows[2] <= b
-            _, t1, t2, _, a, s = (col[tab] for col in rows)
-            flat.append((((t1 - 1) * b + (t2 - 1)) * 2 + a) * top + s)
-        np.add.at(self.dfd_hist.reshape(-1), np.concatenate(flat), 1)
+        agents = range(gamma.shape[1])
+        windows = [window_sums(priorities[:, i], d)[start_k - (d - 1):]
+                   for i in agents]
+        _, t1, t2, _, a, s = zip(*(window_periods(
+            gamma[:, i], priorities[:, i], d, b, start_k) for i in agents))
+        t1, t2, a, s = map(np.concatenate, (t1, t2, a, s))
+        tab = t2 <= b
+        self.add_sums(np.concatenate(windows), t1[tab], t2[tab], a[tab],
+                      s[tab])
+
+    def merge(self, other: SampleBank) -> SampleBank:
+        """Add `other`'s samples to this bank, row by row of each cell;
+        exact integer addition, so merge order changes no count."""
+        if (other.d, other.b) != (self.d, self.b):
+            raise ConfigError(f"cannot merge a bank of (d, b) = "
+                              f"{(other.d, other.b)} into {(self.d, self.b)}")
+        self.sfd_hist += other.sfd_hist
+        cell = np.flatnonzero(other.row >= 0)
+        self._add_cells(cell)
+        self.rows[self.row[cell]] += other.rows[other.row[cell]]
+        return self
 
 
 def _rank(level, n: int):
@@ -140,18 +192,21 @@ def nearest_rank(hist: np.ndarray, level):
     return float(values) if values.ndim == 0 else values
 
 
-def calibrate(cfg: SystemConfig, runs: int,
-              seed: int) -> tuple[ThresholdTable, SampleBank]:
+def calibrate(cfg: SystemConfig, runs: int, seed: int,
+              workers: int = 1) -> tuple[ThresholdTable, SampleBank]:
     """Both detectors' thresholds from one fault-free sampling pass of
-    `runs` runs of the configured fleet, noise keyed on (seed, run)."""
+    `runs` runs of the configured fleet, noise keyed on (seed, run): one
+    bank per chunk of runs, over `workers` processes, merged in chunk
+    order. The result does not depend on the worker count."""
     cfg.validate()
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
-    models, m, scale = cfg.models(), cfg.bandwidth, cfg.require_scale()
+    m, scale = cfg.bandwidth, cfg.require_scale()
+    worker = partial(_bank_chunk, cfg.models(), m, scale, cfg.rounds, seed,
+                     cfg.d, cfg.b, cfg.warmup_discard)
     bank = SampleBank(cfg.d, cfg.b)
-    for chunk in chunks(runs, cfg.rounds * cfg.n_agents):
-        for trace in run_lockstep(models, m, scale, cfg.rounds, seed, chunk):
-            bank.add_trace(trace.gamma, trace.priorities, cfg.warmup_discard)
+    for part in map_chunks(worker, runs, cfg.rounds * cfg.n_agents, workers):
+        bank.merge(part)
     n = bank.sfd_count
     needed = MIN_SFD_SAMPLES_FACTOR / cfg.eta
     if n < needed:
@@ -163,6 +218,17 @@ def calibrate(cfg: SystemConfig, runs: int,
     entries = dfd_entries(cfg, bank)
     return ThresholdTable(cfg.eta, cfg.d, cfg.b, m, cfg.n_agents, scale,
                           seed, kappa, n, bank.dfd_count, entries), bank
+
+
+def _bank_chunk(models: Fleet, m: int, scale: float, rounds: int, seed: int,
+                d: int, b: int, warmup_discard: int,
+                chunk: range) -> SampleBank:
+    """The bank of one chunk of runs, binned run by run: all that
+    calibrate reads of a chunk, and all that a worker process sends back."""
+    bank = SampleBank(d, b)
+    for trace in run_lockstep(models, m, scale, rounds, seed, chunk):
+        bank.add_trace(trace.gamma, trace.priorities, warmup_discard)
+    return bank
 
 
 def dfd_entries(cfg: SystemConfig | CalibrationConfig,
@@ -178,10 +244,11 @@ def dfd_entries(cfg: SystemConfig | CalibrationConfig,
     h = np.arange(1, d + 1)
     levels, needed = 1.0 - eta / h, MIN_CELL_SAMPLES_FACTOR * h / eta
     counts = bank.cell_counts()
-    for t1, t2, a in zip(*np.nonzero(counts)):
+    cells, hists = bank.observed()
+    for t1, t2, a, hist in zip(*cells, hists):
         thin = counts[t1, t2, a] < needed
         entries[t1, t2, :, a] = np.where(
-            thin, np.inf, nearest_rank(bank.dfd_hist[t1, t2, a], levels))
+            thin, np.inf, nearest_rank(hist, levels))
         if thin.any():
             log.debug("cell (T1=%d,T2=%d,a=%d) has %d samples: kappa=inf for "
                       "H=%s", t1 + 1, t2 + 1, a, counts[t1, t2, a], h[thin].tolist())

@@ -47,6 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=2000)
     p.add_argument("-o", "--output", required=True, help="threshold table file")
     p.add_argument("--report", help="optional cell-coverage CSV")
+    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("run", help="Monte Carlo experiment batch")
     _add_common(p)
@@ -80,7 +81,8 @@ def cmd_make_config(args) -> None:
 
 def cmd_calibrate(args) -> None:
     cfg = SystemConfig.load(args.config)
-    table, bank = calibrate(cfg, runs=args.runs, seed=args.seed)
+    table, bank = calibrate(cfg, runs=args.runs, seed=args.seed,
+                            workers=args.workers)
     table.save(args.output)
     if args.report:
         write_calibration_report(bank, args.report)

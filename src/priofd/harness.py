@@ -12,7 +12,6 @@ run records.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -25,7 +24,7 @@ from .errors import ConfigError
 from .fd_dynamic import ThresholdTable, dfd_verdicts
 from .fd_static import sfd_verdicts
 from .scenarios import Scenario, fault_free
-from .simulate import chunks, run_lockstep
+from .simulate import map_chunks, run_lockstep
 # perfbench wraps run_single here; a benchmark-only change moves that to run_lockstep
 from .simulate import run_single  # noqa: F401
 
@@ -172,8 +171,6 @@ def run_batch(cfg: SystemConfig, scenario: Scenario | None,
     """Monte Carlo batch; deterministic given (cfg, scenario, table, seed,
     runs) regardless of worker count."""
     scenario = scenario or fault_free()
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
     if record_runs < 0:
         raise ConfigError(f"record_runs must be >= 0, got {record_runs}")
     table.check_compatible(cfg)
@@ -199,22 +196,12 @@ def run_batch(cfg: SystemConfig, scenario: Scenario | None,
     err_sq_sum = np.zeros((rounds, n_agents))
     records: list[RunRecord] = []
 
-    if workers > 1:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        results = pool.map(worker, chunks(runs, rounds * n_agents,
-                                          parts=4 * workers))
-    else:
-        pool = None
-        results = map(worker, chunks(runs, rounds * n_agents))
-    try:
-        for rec, err_sq in (out for chunk in results for out in chunk):
-            tally.add(rec.run, rec.sfd, rec.dfd, rec.states)
-            err_sq_sum += err_sq
-            if rec.run < record_runs:
-                records.append(rec)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    results = map_chunks(worker, runs, rounds * n_agents, workers)
+    for rec, err_sq in (out for chunk in results for out in chunk):
+        tally.add(rec.run, rec.sfd, rec.dfd, rec.states)
+        err_sq_sum += err_sq
+        if rec.run < record_runs:
+            records.append(rec)
 
     return tally.report(err_sq_sum / runs), records
 

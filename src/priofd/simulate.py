@@ -46,8 +46,10 @@ by about 1e-16.
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from multiprocessing import get_context
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -62,6 +64,8 @@ from .scenarios import Scenario, fault_free
 # A cell keeps about 0.1 kB of trace arrays, so a chunk about 13 MB; the
 # full-scale make-config peaked at 100 MB in chunks of 16, 133 MB of 64
 CHUNK_CELLS = 64 * 300 * 6
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -84,6 +88,31 @@ def chunks(runs: int, run_cells: int, parts: int = 1) -> list[range]:
     count = max(1, min(runs, max(parts, -(-runs // most))))
     edges = [runs * j // count for j in range(count + 1)]
     return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def map_chunks(worker: Callable[[range], T], runs: int, run_cells: int,
+               workers: int = 1) -> Iterator[T]:
+    """worker(chunk) over the chunks of 0..runs-1, in chunk order: in this
+    process at workers=1, else over a pool of `workers` processes with at
+    least 4 chunks each. The worker and its results are pickled, so it must
+    be a module-level function (or a partial of one), and the pool's
+    processes are spawned, so a script that asks for workers > 1 calls
+    this under an `if __name__ == "__main__":` guard."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    if workers == 1:
+        return map(worker, chunks(runs, run_cells))
+    return _pool_map(worker, chunks(runs, run_cells, parts=4 * workers),
+                     workers)
+
+
+def _pool_map(worker: Callable[[range], T], parts: list[range],
+              workers: int) -> Iterator[T]:
+    # spawned, not forked: a fork copies a process whose BLAS threads may
+    # hold locks
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=get_context("spawn")) as pool:
+        yield from pool.map(worker, parts)
 
 
 def run_single(models: Fleet, m: int, scale: float, rounds: int, seed: int,

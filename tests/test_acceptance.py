@@ -24,6 +24,9 @@ from priofd.simulate import run_lockstep, run_single
 from oracles import ExactToy, brute_partition
 
 RUNS = 2000
+# the results do not depend on the worker count (test_harness.py's
+# test_workers_match_serial and test_calibrate_workers_match_serial)
+WORKERS = 2
 
 pytestmark = pytest.mark.acceptance
 
@@ -35,27 +38,28 @@ def check(num, desc, ok, detail):
 
 @pytest.fixture(scope="module")
 def acc_table(desk_cfg):
-    table, _ = calibrate(desk_cfg, runs=RUNS, seed=1000)
+    table, _ = calibrate(desk_cfg, runs=RUNS, seed=1000, workers=WORKERS)
     return table
 
 
 @pytest.fixture(scope="module")
 def heldout(desk_cfg, acc_table):
-    report, _ = run_batch(desk_cfg, None, acc_table, runs=RUNS, seed=2000)
+    report, _ = run_batch(desk_cfg, None, acc_table, runs=RUNS, seed=2000,
+                          workers=WORKERS)
     return report
 
 
 @pytest.fixture(scope="module")
 def scn2_report(desk_cfg, acc_table):
     report, _ = run_batch(desk_cfg, bandwidth_loss(1, 100), acc_table,
-                          runs=RUNS, seed=3000)
+                          runs=RUNS, seed=3000, workers=WORKERS)
     return report
 
 
 @pytest.fixture(scope="module")
 def scn1_report(desk_cfg, acc_table):
     report, _ = run_batch(desk_cfg, actuator_failure((2,), 100), acc_table,
-                          runs=RUNS, seed=4000)
+                          runs=RUNS, seed=4000, workers=WORKERS)
     return report
 
 

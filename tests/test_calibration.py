@@ -70,8 +70,9 @@ class TestSampleBank:
         assert counts[0, 0, 0] + counts[0, 0, 1] == bank.dfd_count
         # every period is one fresh round: the (1,1) cells hold exactly the
         # single quantized priorities of the window members
-        collected = np.repeat(np.arange(bank.dfd_hist.shape[-1]),
-                              bank.dfd_hist[0, 0].sum(axis=0))
+        (t1, t2, _), hists = bank.observed()
+        collected = np.repeat(np.arange(hists.shape[1]),
+                              hists[(t1 == 0) & (t2 == 0)].sum(axis=0))
         expect = np.concatenate([q[k - 3:k + 1, 0] for k in range(10, rounds)])
         assert sorted(collected) == sorted(expect)
 
@@ -98,10 +99,31 @@ def assert_bank_matches_brute(gamma, q, d, b, start_k):
     bank = SampleBank(d, b)
     bank.add_trace(gamma, q, start_k)
     want_hist = brute_bank(gamma, q, d, b, max(start_k, d - 1))
-    cells = np.nonzero(bank.dfd_hist)
-    got_hist = {(t1 + 1, t2 + 1, a, s): n for t1, t2, a, s, n in zip(
-        *(c.tolist() for c in cells), bank.dfd_hist[cells].tolist())}
+    cells, hists = bank.observed()
+    assert hists.sum(axis=1).all()          # a row only for an observed cell
+    t1, t2, a = (c.tolist() for c in cells)
+    row, s = np.nonzero(hists)
+    got_hist = {(t1[r] + 1, t2[r] + 1, a[r], v): n for r, v, n in zip(
+        row.tolist(), s.tolist(), hists[row, s].tolist())}
     assert got_hist == dict(want_hist)
+
+
+def assert_banks_equal(got, want):
+    """Equal window-sum histograms, and the same observed cells with the
+    same period-sum histograms."""
+    assert np.array_equal(got.sfd_hist, want.sfd_hist)
+    (got_cells, got_hists), (want_cells, want_hists) = (
+        got.observed(), want.observed())
+    assert np.array_equal(got_cells, want_cells)
+    assert np.array_equal(got_hists, want_hists)
+    assert np.array_equal(got.cell_counts(), want.cell_counts())
+    assert got.dfd_count == want.dfd_count
+
+
+def random_trace(rng, rounds, density):
+    gamma = rng.random((rounds, 3)) < density
+    q = rng.integers(0, 256, size=(rounds, 3)).astype(np.int16)
+    return gamma, q
 
 
 class TestAddTraceOracle:
@@ -117,9 +139,46 @@ class TestAddTraceOracle:
     @settings(max_examples=150, deadline=None)
     def test_random_schedules(self, d, b, rounds, density, start_k, seed):
         rng = np.random.default_rng(seed)
-        gamma = rng.random((rounds, 3)) < density
-        q = rng.integers(0, 256, size=(rounds, 3)).astype(np.int16)
+        gamma, q = random_trace(rng, rounds, density)
         assert_bank_matches_brute(gamma, q, d, b, start_k)
+
+
+def check_merge(d, b, trace_a, trace_b, start_k):
+    """The bank of traces A then B, cell for cell, is bank(A) merged with
+    bank(B), in either order; returns the cells only B observes."""
+    both, bank_a, bank_b = (SampleBank(d, b) for _ in range(3))
+    for bank, traces in ((both, (trace_a, trace_b)), (bank_a, (trace_a,)),
+                         (bank_b, (trace_b,))):
+        for gamma, q in traces:
+            bank.add_trace(gamma, q, start_k)
+    only_b = (bank_b.cell_counts() > 0) & (bank_a.cell_counts() == 0)
+    assert_banks_equal(SampleBank(d, b).merge(bank_a).merge(bank_b), both)
+    assert_banks_equal(SampleBank(d, b).merge(bank_b).merge(bank_a), both)
+    assert_banks_equal(bank_a.merge(bank_b), both)
+    return only_b
+
+
+class TestMerge:
+    @given(d=st.integers(1, 8), b=st.integers(1, 10),
+           rounds=st.integers(1, 60), density_a=st.floats(0.0, 1.0),
+           density_b=st.floats(0.0, 1.0), start_k=st.integers(0, 30),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=100, deadline=None)
+    def test_merge_equals_one_bank(self, d, b, rounds, density_a, density_b,
+                                   start_k, seed):
+        rng = np.random.default_rng(seed)
+        check_merge(d, b, random_trace(rng, rounds, density_a),
+                    random_trace(rng, rounds, density_b), start_k)
+
+    def test_cells_only_b_observes(self, rng):
+        # A communicates every round, so it sees only (1, 1) cells
+        only_b = check_merge(3, 6, random_trace(rng, 40, 1.0),
+                             random_trace(rng, 40, 0.2), 5)
+        assert only_b.sum() > 2 and not only_b[0, 0].any()
+
+    def test_mismatched_banks_refused(self):
+        with pytest.raises(ConfigError, match="merge"):
+            SampleBank(3, 4).merge(SampleBank(3, 5))
 
 
 class TestCalibrateSfd:
@@ -235,9 +294,16 @@ class TestDfdEntries:
                                         rng.integers(1, 3 * guard)]))
                     vals = sorted(rng.integers(0, span, n).tolist())
                     samples[t1, t2, a] = vals
-                    bank.dfd_hist[t1 - 1, t2 - 1, a] = np.bincount(
-                        vals, minlength=bank.dfd_hist.shape[-1])
-        bank.sfd_hist[:span] = rng.integers(0, 5, span)
+        window = np.repeat(np.arange(span), rng.integers(0, 5, span))
+        # the period sums in a random order, binned in two calls
+        sigs = np.array([(*cell, v) for cell, vals in samples.items()
+                         for v in vals], dtype=np.int64).reshape(-1, 4)
+        sigs = sigs[rng.permutation(len(sigs))]
+        cut = int(rng.integers(0, len(sigs) + 1))
+        bank.add_sums(window, *sigs[:cut].T)
+        bank.add_sums(window[:0], *sigs[cut:].T)
+        assert np.array_equal(bank.sfd_hist[:span], np.bincount(
+            window, minlength=span))
 
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="priofd.calibration"):

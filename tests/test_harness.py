@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from priofd.calibration import calibrate
 from priofd.cli import main
 from priofd.errors import ConfigError
 from priofd.harness import (RunRecord, emit_csv, parse_run_record,
@@ -212,6 +213,24 @@ def test_workers_match_serial(tmp_path, desk_cfg, small_table):
     assert np.array_equal(serial.state_mean, parallel.state_mean)
     with pytest.raises(ConfigError, match="workers must be >= 1, got 0"):
         run_batch(desk_cfg, None, small_table, runs=6, seed=5, workers=0)
+
+
+def test_calibrate_workers_match_serial(tmp_path, desk_cfg):
+    cfg = tmp_path / "cfg.json"
+    desk_cfg.save(cfg)
+    outs = {}
+    for workers in (1, 2):
+        table = tmp_path / f"{workers}.pfdt"
+        report = tmp_path / f"{workers}.csv"
+        assert main(["calibrate", "--config", str(cfg), "--runs", "12",
+                     "--seed", "4", "-o", str(table), "--report", str(report),
+                     "--workers", str(workers)]) == 0
+        outs[workers] = table.read_bytes(), report.read_bytes()
+    assert outs[1] == outs[2]
+    with pytest.raises(ConfigError, match="workers must be >= 1, got 0"):
+        calibrate(desk_cfg, runs=12, seed=4, workers=0)
+    assert main(["calibrate", "--config", str(cfg), "--runs", "12",
+                 "-o", str(tmp_path / "0.pfdt"), "--workers", "0"]) == 2
 
 
 def test_hand_computed_aggregate_bytes(tmp_path, desk_cfg):
