@@ -83,6 +83,20 @@ MUTANTS = [
      "kernel: period sums leave out their last round"),
     (FD, "h_count = n_comm + ~g[ks]", "h_count = n_comm + 1",
      "kernel: a trailing silent period after a communicating round"),
+    # the online path
+    (NET, "bisect_right(comms, hi)]", "bisect_left(comms, hi)]",
+     "history lookup leaves out a communication at hi"),
+    (NET, "self._comms[0] < self._next_round - self.retention:",
+     "self._comms[0] <= self._next_round - self.retention:",
+     "history trims its oldest round while still within the retention"),
+    (FD, "kappa(t1 - 1, t2 - 1, h, int(end == k))",
+     "kappa(t1 - 1, t2 - 1, h, int(end != k))",
+     "online: flag a inverted"),
+    (FD, "t1 = ws - ends[before - 1] if before else b + 1",
+     "t1 = ws - ends[before - 1] if before else b",
+     "online: first-period T1 capped at b"),
+    (FD, "cq[end - ws + 1] - cq[start - ws]", "cq[end - ws] - cq[start - ws]",
+     "online: period sums leave out their last round"),
     # the sample bank
     (CAL, "        self.rows[self.row[cell]] += other.rows[other.row[cell]]",
      "        self.rows[self.row[cell]] = other.rows[other.row[cell]]",

@@ -15,9 +15,13 @@ period's T1 is capped at b+1 when no communication is found within b+1
 rounds before the window (or since the run start), which forces its T2
 beyond b.
 
-The online path (partition_window, dfd_evaluate) makes one pass per round
-over the communication rounds a ScheduleHistory returns for [k-d-b, k],
-building the periods as plain tuples and summing them from Python ints.
+The online path runs once per round on what an observer holds. One
+helper (_period_ends) takes the communication rounds a ScheduleHistory
+returns for [k-d-b, k], bisects them at the window start, and returns the
+first period's T1 and the last round of every period. partition_window
+builds its Period tuples from those; dfd_evaluate walks them in one pass
+with no per-period objects, taking each period's sum from one prefix list
+of the window's priorities and its threshold as a Python float.
 The batch kernel window_periods lays out every period of every window of a
 recorded run as flat arrays for calibration (SampleBank.add_trace) and
 replay (dfd_verdicts).
@@ -63,23 +67,31 @@ class Period(NamedTuple):
     is_last: bool
 
 
-def partition_window(history: ScheduleHistory, k: int, d: int, b: int) -> list[Period]:
-    """The unique period partition of [k-d+1, k] for one agent, from its
-    communication rounds in [k-d-b, k]."""
+def _period_ends(history: ScheduleHistory, k: int, d: int,
+                 b: int) -> tuple[int, list[int]]:
+    """The first period's T1 and the last round of every period of
+    [k-d+1, k], from the agent's communication rounds in [k-d-b, k]."""
     ws = k - d + 1
     if ws < 0:
         raise ConfigError(f"window [{ws}, {k}] starts before the run")
-    comms = history.comm_rounds(ws - (b + 1), k)
-    before = bisect_left(comms, ws)
+    ends = history.comm_rounds(ws - (b + 1), k)
+    before = bisect_left(ends, ws)
     # the first period counts from the last communication before the window
     # (at most b+1 rounds back), or from b+1 if there is none; every later
     # period starts right after a communication
-    t1 = ws - comms[before - 1] if before else b + 1
-    ends = comms[before:]
+    t1 = ws - ends[before - 1] if before else b + 1
+    del ends[:before]                # comm_rounds returns a new list
     if not ends or ends[-1] != k:
         ends.append(k)
+    return t1, ends
+
+
+def partition_window(history: ScheduleHistory, k: int, d: int, b: int) -> list[Period]:
+    """The unique period partition of [k-d+1, k] for one agent, from its
+    communication rounds in [k-d-b, k]."""
+    t1, ends = _period_ends(history, k, d, b)
     periods = []
-    start = ws
+    start = k - d + 1
     for end in ends:
         periods.append(Period(start, end, t1, t1 + end - start, end == k))
         start, t1 = end + 1, 1
@@ -184,14 +196,17 @@ def dfd_evaluate(history: ScheduleHistory, priorities: Sequence[int],
     q = np.asarray(priorities, dtype=np.int64)
     if q.shape != (d,):
         raise ConfigError(f"need exactly d={d} priorities, got {q.shape}")
-    periods = partition_window(history, k, d, b)
+    t1, ends = _period_ends(history, k, d, b)
+    # cq[j] is the sum of the window's first j priorities
     cq = list(accumulate(q.tolist(), initial=0))
-    ws = k - d + 1
-    H = len(periods)
-    for start, end, t1, t2, is_last in periods:
+    kappa, h = table.entries.item, len(ends) - 1
+    start = ws = k - d + 1
+    for end in ends:
+        t2 = t1 + end - start
         if (t2 <= b and cq[end - ws + 1] - cq[start - ws]
-                > table.entries[t1 - 1, t2 - 1, H - 1, int(is_last)]):
+                > kappa(t1 - 1, t2 - 1, h, int(end == k))):
             return True
+        start, t1 = end + 1, 1
     return False
 
 

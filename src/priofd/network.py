@@ -5,12 +5,14 @@ top_m is the one home of the selection rule: the M highest priorities
 win, ties to the lower agent id. The round engine (simulate.run_lockstep)
 applies it every round, to every run of a chunk at once, to elect the
 senders two rounds ahead. ScheduleHistory keeps one agent's communication
-rounds for the per-update dFD (fd_dynamic.dfd_evaluate).
+rounds in a sorted list for the per-update dFD (fd_dynamic.dfd_evaluate):
+an append trims at most one round, and a range lookup is two bisections
+and a slice.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -19,8 +21,8 @@ from .errors import ConfigError
 
 class ScheduleHistory:
     """Rounds in which one agent communicated (gamma=1), as an online dFD
-    observer keeps them: absolute round numbers, oldest first, covering the
-    last `retention` rounds appended. Rounds before the run count as
+    observer keeps them: absolute round numbers in a sorted list, covering
+    the last `retention` rounds appended. Rounds before the run count as
     silent."""
 
     def __init__(self, agent: int, retention: int):
@@ -28,33 +30,28 @@ class ScheduleHistory:
             raise ConfigError("retention must be >= 1")
         self.agent = agent
         self.retention = retention
-        self._comms: deque[int] = deque()
+        self._comms: list[int] = []
         self._next_round = 0
 
     def append(self, bit: bool) -> None:
         if bit:
             self._comms.append(self._next_round)
         self._next_round += 1
+        # rounds are distinct, so one append moves at most one out of reach
         if self._comms and self._comms[0] < self._next_round - self.retention:
-            self._comms.popleft()
+            del self._comms[0]
 
     def comm_rounds(self, lo: int, hi: int) -> list[int]:
-        """Communication rounds in [lo, hi], oldest first. Scans back from
-        the newest round and stops below lo, so with hi the newest round a
-        call costs O(hi - lo) whatever the retention."""
-        first = max(self._next_round - self.retention, 0)
-        if max(lo, 0) < first or hi >= self._next_round:
+        """Communication rounds in [lo, hi], oldest first, as a new list.
+        Two bisections and a slice: O(log retention + hi - lo)."""
+        n = self._next_round
+        first = n - self.retention    # rounds before 0 are known silent
+        if (lo < first and first > 0) or hi >= n:
             raise ConfigError(
                 f"history of agent {self.agent} covers "
-                f"[{first}, {self._next_round - 1}], requested [{lo}, {hi}]")
-        out = []
-        for r in reversed(self._comms):
-            if r < lo:
-                break
-            if r <= hi:
-                out.append(r)
-        out.reverse()
-        return out
+                f"[{max(first, 0)}, {n - 1}], requested [{lo}, {hi}]")
+        comms = self._comms
+        return comms[bisect_left(comms, lo):bisect_right(comms, hi)]
 
 
 def top_m(priorities: np.ndarray, m: int) -> np.ndarray:

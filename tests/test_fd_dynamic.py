@@ -68,6 +68,22 @@ class TestPartition:
                    [(w["start"], w["end"], w["T1"], w["T2"], w["last"])
                     for w in want]
 
+    @given(d=st.integers(1, 12), b=st.integers(1, 15),
+           density=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_least_retention_vs_oracle(self, d, b, density, seed):
+        # fed round by round into the shortest history an observer keeps
+        bits = (np.random.default_rng(seed).random(50) < density).tolist()
+        hist = ScheduleHistory(1, d + b + 1)
+        for k, bit in enumerate(bits):
+            hist.append(bit)
+            if k < d - 1:
+                continue
+            got = partition_window(hist, k, d, b)
+            assert [(p.start, p.end, p.T1, p.T2, p.is_last) for p in got] == \
+                   [(w["start"], w["end"], w["T1"], w["T2"], w["last"])
+                    for w in brute_partition(bits, k, d, b)]
+
     @given(st.integers(0, 2**14 - 1), st.sampled_from([3, 5, 8]))
     @settings(max_examples=300, deadline=None)
     def test_structural_invariants(self, word, d):
@@ -215,6 +231,24 @@ class TestEvaluate:
             got = dfd_evaluate(hist, q[k - d + 1:k + 1], table, k)
             assert got == sfd[k]
         assert {bool(sfd[k]) for k in single} == {False, True}
+
+    def test_window_form_does_not_matter(self, rng):
+        # a Python list, an int16 array and an int64 view of a longer row
+        # give one verdict
+        table = ThresholdTable.load(DESK_TABLE)
+        d, rounds = table.d, 80
+        seen = set()
+        for _ in range(20):
+            bits = rng.random(rounds) < 0.33
+            row = rng.integers(0, rng.integers(16, 257), size=rounds + 5)
+            hist = history_from(bits)
+            for k in range(d - 1, rounds):
+                view = row[k - d + 1:k + 1]
+                verdicts = {dfd_evaluate(hist, form, table, k) for form in
+                            (view.tolist(), view.astype(np.int16), view)}
+                assert len(verdicts) == 1, k
+                seen |= verdicts
+        assert seen == {False, True}
 
     def test_wrong_window_length_rejected(self):
         table = flat_table(4, 6, 1.0)

@@ -81,6 +81,28 @@ class TestScheduleHistory:
         with pytest.raises(ConfigError, match="requested"):
             dfd_evaluate(short, [0] * d, table, k)
 
+    def test_returned_list_is_a_copy(self):
+        # dfd_evaluate trims and appends k to the list it gets back
+        h = ScheduleHistory(1, 10)
+        for bit in (1, 0, 1, 1, 0, 1):
+            h.append(bit)
+        got = h.comm_rounds(0, 5)
+        got.append(5)
+        del got[:2]
+        got[0] = 99
+        assert h.comm_rounds(0, 5) == [0, 2, 3, 5]
+        assert h.comm_rounds(0, 5) is not h.comm_rounds(0, 5)
+
+    def test_holds_only_rounds_within_retention(self, rng):
+        for retention, density in ((1, 0.5), (7, 0.9), (51, 0.33)):
+            h = ScheduleHistory(1, retention)
+            bits = rng.random(10_000) < density
+            for n, bit in enumerate(bits, start=1):
+                h.append(bool(bit))
+                first = max(n - retention, 0)
+                assert h._comms == (np.flatnonzero(bits[first:n])
+                                    + first).tolist()
+
     @given(st.lists(st.booleans(), min_size=1, max_size=30),
            st.integers(1, 12), st.integers(-5, 30), st.integers(0, 30))
     def test_matches_gamma_record(self, bits, retention, lo, width):
