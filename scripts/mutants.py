@@ -50,7 +50,8 @@ MUTANTS = [
     (SIM, 'e_pred = np.einsum("jk,rik->rij", P2, E)',
      'e_pred = np.einsum("jk,rik->rij", P1, E)',
      "one-step priority prediction"),
-    (SIM, "ubase = np.where(sent[..., None], U, Uhat)", "ubase = Uhat",
+    (SIM, 'ubase = np.einsum("mn,rin->rim", Fself, base) + cross',
+     'ubase = np.einsum("mn,rin->rim", Fself, Xhat) + cross',
      "estimate ignores the received control"),
     (SIM, "cross = np.matmul(C, Xhat.reshape(R, N * n, 1)).reshape(R, N, nb)",
      "cross = (Xhat.reshape(R, N * n) @ C.T).reshape(R, N, nb)",
@@ -63,9 +64,9 @@ MUTANTS = [
      "                models.noise_chol[0],"
      " noise_stream(seed, run, i + 1, PROCESS_NOISE)",
      "every agent's noise drawn with agent 1's covariance"),
-    (SIM, """                      + np.einsum("mn,rin->rim", B, U[:, plant])
+    (SIM, """                      + np.einsum("mn,rin->rim", B, u)
                       * actuated[plant, None])""",
-     """                      + np.einsum("mn,rin->rim", B, U[:, plant]))""",
+     """                      + np.einsum("mn,rin->rim", B, u))""",
      "a failed actuator still drives its plant"),
     (DYN, "        if bad.size:\n", "        if False:\n",
      "the fleet accepts a gain of an agent on its own estimate"),
@@ -110,16 +111,15 @@ MUTANTS = [
     (HARNESS, "post = p[min(k_event + d, rounds):]",
      "post = p[min(k_event + d - 1, rounds):]",
      "post-event interval starts one round early"),
-    (HARNESS, "self.band_sq += comp * comp", "self.band_sq += comp",
+    (HARNESS, "self.band_sq += band * band", "self.band_sq += band",
      "state band from the sum instead of the sum of squares"),
     (HARNESS, "    if record_runs < 0:", "    if False:",
      "run_batch accepts record_runs < 0"),
+    (HARNESS, "if run < record_runs else None",
+     "if run <= record_runs else None",
+     "a chunk also records run number record_runs"),
     (CAL, '    if runs < 1:\n        raise ConfigError(f"runs must be >= 1, got {runs}")\n',
      "", "calibrate accepts runs < 1"),
-    (HARNESS, 'map(repr if col.dtype.kind == "f" else str, col.tolist())',
-     "map(str, col.tolist())",
-     "float cells by str instead of repr (equivalent, so it survives: "
-     "str and repr of a Python float agree since Python 3.2)"),
     (HARNESS, """(np.repeat(np.arange(rounds), n_agents),
                  np.tile(np.arange(1, n_agents + 1), rounds),
                  *(arr.ravel() for arr in (rec.gamma, rec.priorities,

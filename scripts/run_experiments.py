@@ -7,13 +7,11 @@ with one BLAS thread:
 
     python scripts/run_experiments.py --outdir results/desk
 
-The full-scale study (20 agents, 10000 runs per arm) should take about 3.5
-minutes serially. That is an extrapolation: on the same VM,
-`--scale full --cal-runs 200 --runs 200` took 4.5 s (0.9 s of it
-calibrating, about 1 s per arm), and the time grows linearly with both run
-counts. Use --workers on a multicore box:
+The full-scale study (20 agents, 10000 runs per arm) took 2 min 48 s on
+the same VM with two workers: calibration 41 s, then 42, 43 and 41 s for
+the three arms.
 
-    python scripts/run_experiments.py --scale full --outdir results/full
+    python scripts/run_experiments.py --scale full --workers 2 --outdir results/full
 """
 
 import argparse

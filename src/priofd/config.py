@@ -146,7 +146,6 @@ class SystemConfig:
     rounds: int = 300
     warmup_discard: int = 50
     allow_unstable: bool = False
-    version: int = CONFIG_VERSION
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -197,7 +196,7 @@ class SystemConfig:
 
     def to_dict(self) -> dict:
         return {
-            "version": self.version,
+            "version": CONFIG_VERSION,
             "name": self.name,
             "n_agents": self.n_agents,
             "bandwidth": self.bandwidth,

@@ -3,11 +3,10 @@
 All emitted files are semicolon separated with '.' decimals and start with
 a provenance comment (config hash, seed, run count, scenario), so identical
 inputs produce byte-identical files. write_table is the one CSV writer:
-each artifact is a set of equal-length columns, and each column is
-formatted once by its dtype (bools and integers as ints, floats as the
-repr of the Python float, which parses back bit-exactly). Aggregates are
-exact counts divided by the run count and can be recomputed from emitted
-run records.
+each artifact is a set of equal-length columns, and every cell is str of
+the Python value (bools as 0 and 1; str of a float is its repr, which
+parses back bit-exactly). Aggregates are exact counts divided by the run
+count and can be recomputed from emitted run records.
 """
 
 from __future__ import annotations
@@ -76,9 +75,10 @@ class AggregateReport:
         return float(pre[agent - 1]), float(post[agent - 1])
 
 
-def _run_chunk(models, m, scale, rounds, seed, scenario, table, chunk):
-    """Each run's record and squared error norms, in run order: all that
-    run_batch reads of a chunk, and all that a worker process sends back."""
+def _run_chunk(models, m, scale, rounds, seed, scenario, table, band,
+               record_runs, chunk):
+    """All a worker sends back, per run in run order: (sfd, dfd, states at the
+    0-based `band` pair, err_sq) and the RunRecord, None from record_runs on."""
     out = []
     for run, trace in zip(chunk, run_lockstep(models, m, scale, rounds, seed,
                                               chunk, scenario=scenario)):
@@ -88,8 +88,11 @@ def _run_chunk(models, m, scale, rounds, seed, scenario, table, chunk):
                         for i in range(n_agents)], axis=1)
         dfd = np.stack([dfd_verdicts(trace.gamma[:, i], trace.priorities[:, i],
                                      table) for i in range(n_agents)], axis=1)
-        out.append((RunRecord(run, seed, trace.gamma, trace.priorities, sfd,
-                              dfd, trace.states), trace.err_sq))
+        summary = (sfd, dfd, trace.states[:, band[0], band[1]],
+                   np.einsum("kij,kij->ki", trace.errors, trace.errors))
+        record = (RunRecord(run, seed, trace.gamma, trace.priorities, sfd,
+                            dfd, trace.states) if run < record_runs else None)
+        out.append((summary, record))
     return out
 
 
@@ -129,12 +132,11 @@ class _Tally:
         self.delay_dfd = np.full(runs, np.nan)
 
     def add(self, run: int, sfd: np.ndarray, dfd: np.ndarray,
-            states: np.ndarray) -> None:
+            band: np.ndarray) -> None:
         self.alarm_sfd += sfd
         self.alarm_dfd += dfd
-        comp = states[:, self.band_agent - 1, self.band_component - 1]
-        self.band_sum += comp
-        self.band_sq += comp * comp
+        self.band_sum += band
+        self.band_sq += band * band
         if self.k_event is not None:
             for arr, out in ((sfd, self.delay_sfd), (dfd, self.delay_dfd)):
                 hits = np.flatnonzero(arr[self.k_event:, self.monitored - 1])
@@ -192,15 +194,17 @@ def run_batch(cfg: SystemConfig, scenario: Scenario | None,
 
     models = cfg.models()
     worker = partial(_run_chunk, models, cfg.bandwidth, cfg.require_scale(),
-                     rounds, seed, scenario, table)
+                     rounds, seed, scenario, table,
+                     (band_agent - 1, band_component - 1), record_runs)
     err_sq_sum = np.zeros((rounds, n_agents))
     records: list[RunRecord] = []
 
     results = map_chunks(worker, runs, rounds * n_agents, workers)
-    for rec, err_sq in (out for chunk in results for out in chunk):
-        tally.add(rec.run, rec.sfd, rec.dfd, rec.states)
+    for run, ((sfd, dfd, band, err_sq), rec) in enumerate(
+            out for chunk in results for out in chunk):
+        tally.add(run, sfd, dfd, band)
         err_sq_sum += err_sq
-        if rec.run < record_runs:
+        if rec is not None:
             records.append(rec)
 
     return tally.report(err_sq_sum / runs), records
@@ -232,12 +236,11 @@ def _provenance(cfg_hash: str, seed: int, runs: int, scenario: str) -> str:
 
 
 def _cells(column) -> Iterator[str]:
-    """One column's cells: bools and integers as str of the int, floats as
-    repr of the Python float, anything else as str."""
+    """One column's cells, each str of the Python value; bools as ints."""
     col = np.asarray(column)
     if col.dtype.kind == "b":
         col = col.astype(np.int64)
-    return map(repr if col.dtype.kind == "f" else str, col.tolist())
+    return map(str, col.tolist())
 
 
 def write_table(path, header: str, names: Sequence[str],
@@ -358,5 +361,6 @@ def report_from_records(records: Sequence[RunRecord], cfg: SystemConfig,
     tally = _Tally(cfg, scenario, len(records), rounds, n_agents,
                    n_components, monitored, band_agent, band_component)
     for run, rec in enumerate(records):
-        tally.add(run, rec.sfd, rec.dfd, rec.states)
+        tally.add(run, rec.sfd, rec.dfd,
+                  rec.states[:, band_agent - 1, band_component - 1])
     return tally.report(np.full((rounds, n_agents), np.nan))

@@ -78,7 +78,6 @@ class RunTrace:
     states: np.ndarray           # (T, N, n) true states x(k)
     errors: np.ndarray           # (T, N, n) estimation errors e(k)
     noise: np.ndarray            # (T, N, n) process noise
-    err_sq: np.ndarray           # (T, N) squared error norms ||e_i(k)||^2
 
 
 def chunks(runs: int, run_cells: int, parts: int = 1) -> list[range]:
@@ -189,14 +188,12 @@ def run_lockstep(models: Fleet, m: int, scale: float, rounds: int, seed: int,
         key = raw[:, k] if select_on_raw else q[:, k]
         gamma[rows, k + 2, top_m(key, M)] = True
 
-        # controls: every agent from its true state, extrapolations from the
-        # shared estimate; the coupling term is common to both
+        # the estimate advances on the control of its base (a sender's true
+        # state, else itself), a mutated plant below on that of its true state
         sent = gamma[:, k]
         cross = np.matmul(C, Xhat.reshape(R, N * n, 1)).reshape(R, N, nb)
-        U = np.einsum("mn,rin->rim", Fself, X) + cross
-        Uhat = np.einsum("mn,rin->rim", Fself, Xhat) + cross
         base = np.where(sent[..., None], X, Xhat)
-        ubase = np.where(sent[..., None], U, Uhat)
+        ubase = np.einsum("mn,rin->rim", Fself, base) + cross
         xhat_next = (np.einsum("jk,rik->rij", A, base)
                      + np.einsum("mn,rin->rim", B, ubase))
 
@@ -205,8 +202,9 @@ def run_lockstep(models: Fleet, m: int, scale: float, rounds: int, seed: int,
         e_next[sent] = v[sent]
         plant = np.flatnonzero(~matched)
         if plant.size:
+            u = np.einsum("mn,rin->rim", Fself, X[:, plant]) + cross[:, plant]
             x_next = (np.matmul(A, X[:, plant, :, None])[..., 0]
-                      + np.einsum("mn,rin->rim", B, U[:, plant])
+                      + np.einsum("mn,rin->rim", B, u)
                       * actuated[plant, None])
             x_next += v[:, plant]
             for j, i in enumerate(plant):
@@ -221,6 +219,5 @@ def run_lockstep(models: Fleet, m: int, scale: float, rounds: int, seed: int,
             e_next[:, plant] = x_next - xhat_next[:, plant]
         Xhat, E = xhat_next, e_next
 
-    err_sq = np.einsum("rkij,rkij->rki", errors, errors)
     return [RunTrace(gamma[r, :rounds], q[r], raw[r], states[r], errors[r],
-                     noise[r], err_sq[r]) for r in range(R)]
+                     noise[r]) for r in range(R)]

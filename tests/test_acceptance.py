@@ -1,7 +1,8 @@
 """End-to-end acceptance suite.
 
-Each test prints one "criterion NN PASS/FAIL" line with the measured
-values. The Monte Carlo fixtures are module scoped and reused across
+Each criterion test prints one "criterion NN PASS/FAIL" line with the
+measured values, and the last test a "finding PASS/FAIL" line on a known
+dFD blind spot. The Monte Carlo fixtures are module scoped and reused across
 criteria: one 2000-run calibration, one 2000-run held-out fault-free batch,
 and 2000-run batches of the two fault scenarios, all on the desk-scale
 fleet (6 cart-poles, two slots, 300 rounds, eta=0.01, d=10, b=40).
@@ -9,11 +10,13 @@ fleet (6 cart-poles, two slots, 300 rounds, eta=0.01, d=10, b=40).
 
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from priofd.calibration import calibrate
+from priofd.config import SystemConfig
 from priofd.fd_dynamic import (ThresholdTable, dfd_evaluate, partition_window)
 from priofd.fd_static import StaticDetector
 from priofd.harness import emit_csv, run_batch
@@ -23,6 +26,7 @@ from priofd.simulate import run_lockstep, run_single
 
 from oracles import ExactToy, brute_partition
 
+ROOT = Path(__file__).resolve().parent.parent
 RUNS = 2000
 # the results do not depend on the worker count (test_harness.py's
 # test_workers_match_serial and test_calibrate_workers_match_serial)
@@ -296,3 +300,23 @@ def test_criterion_10_detector_cost_scaling(desk_cfg, desk_models, acc_table,
           f"{1e6 * sfd_times[40]:.2f}@d40; dfd {1e6 * dfd_times[5]:.2f}@d5 "
           f"-> {1e6 * dfd_times[40]:.2f}@d40; mean sfd={sfd_mean_ns:.0f}ns"
           f" dfd={dfd_mean_ns:.0f}ns")
+
+
+def test_finding_dfd_blind_to_faulty_agent_starved_of_slots():
+    """Not a paper criterion: a record of where dFD falls short. Three
+    faulty agents saturate at q = 255 and ties go to the lower id, so with
+    two slots agent 4 stops transmitting; dFD never compares a period whose
+    end delay T2 exceeds b, so it goes quiet on agent 4 while sFD keeps
+    alarming. Only the sFD side is gated."""
+    cfg = SystemConfig.load(ROOT / "configs" / "cartpole_desk.json")
+    table = ThresholdTable.load(ROOT / "perfbench" / "data"
+                                / "desk_thresholds.pfdt")
+    report, _ = run_batch(cfg, actuator_failure((2, 3, 4), 100), table,
+                          runs=64, seed=4343)
+    _, post_s = report.interval_rates("sfd", 4)
+    _, post_d = report.interval_rates("dfd", 4)
+    ok = post_s >= 0.9
+    print(f"finding {'PASS' if ok else 'FAIL'}: faulty agent 4, starved of "
+          f"slots, post-event rate sfd={post_s:.3f} (gated >= 0.9), "
+          f"dfd={post_d:.3f} (not gated) over {report.runs} runs")
+    assert ok, f"sFD post-event rate on agent 4 is {post_s:.3f} < 0.9"

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from priofd.cli import main
 from priofd.config import (SystemConfig, build_preset, decode_matrix,
                            encode_matrix)
 from priofd.errors import ConfigError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_matrix_codec_roundtrip(rng):
@@ -93,6 +96,14 @@ def test_unknown_preset():
 def test_missing_file():
     with pytest.raises(ConfigError):
         SystemConfig.load("/nonexistent/config.json")
+
+
+@pytest.mark.parametrize("name, digest", [("desk", "81cd95f3973e5747"),
+                                          ("full", "c4233a71afdc3eeb")])
+def test_committed_configs_keep_their_hash(name, digest):
+    # the hash is stamped into every artifact's provenance line, so a change
+    # to what to_dict writes would silently relabel all of them
+    assert SystemConfig.load(CONFIGS / f"cartpole_{name}.json").hash() == digest
 
 
 def test_full_preset_shape():

@@ -131,13 +131,14 @@ class TestEngineErrorProperties:
         after_silence = []
         for trace in fault_free_traces:
             gam = trace.gamma
+            err_sq = (trace.errors ** 2).sum(axis=2)
             for i in range(gam.shape[1]):
                 col = gam[:, i]
                 for k in range(55, len(gam)):
                     if col[k - 1]:
-                        after_send.append(trace.err_sq[k, i])
+                        after_send.append(err_sq[k, i])
                     if not col[k - 5:k].any():
-                        after_silence.append(trace.err_sq[k, i])
+                        after_silence.append(err_sq[k, i])
         assert len(after_send) > 100 and len(after_silence) > 100
         assert np.mean(after_send) < np.mean(after_silence)
 

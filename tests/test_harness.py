@@ -7,8 +7,8 @@ import pytest
 from priofd.calibration import calibrate
 from priofd.cli import main
 from priofd.errors import ConfigError
-from priofd.harness import (RunRecord, emit_csv, parse_run_record,
-                            report_from_records, run_batch,
+from priofd.harness import (RunRecord, _run_chunk, emit_csv,
+                            parse_run_record, report_from_records, run_batch,
                             write_alarm_series, write_detection_delays,
                             write_run_record)
 from priofd.scenarios import (PRESETS, actuator_failure, bandwidth_loss,
@@ -202,6 +202,19 @@ def test_emitted_files_deterministic(tmp_path, desk_cfg, small_table):
     assert outs[0] == outs[1]
     assert "alarm_probability.csv" in outs[0]
     assert "run_00001.csv" in outs[0]
+
+
+def test_chunk_records_only_runs_below_record_runs(desk_cfg, small_table):
+    out = _run_chunk(desk_cfg.models(), desk_cfg.bandwidth,
+                     desk_cfg.quant_scale, desk_cfg.rounds, 5,
+                     actuator_failure((2,), 100), small_table, (1, 2), 3,
+                     range(1, 6))
+    assert [None if rec is None else rec.run for _, rec in out] == [
+        1, 2, None, None, None]
+    for (sfd, dfd, band, err_sq), rec in out[:2]:
+        assert np.array_equal(sfd, rec.sfd) and np.array_equal(dfd, rec.dfd)
+        assert np.array_equal(band, rec.states[:, 1, 2])
+    assert err_sq.shape == (desk_cfg.rounds, desk_cfg.n_agents)
 
 
 def test_workers_match_serial(tmp_path, desk_cfg, small_table):

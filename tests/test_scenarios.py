@@ -22,7 +22,7 @@ def test_empty_scenario_changes_nothing(desk_cfg, desk_models):
                           scenario=fault_free())
     assert np.array_equal(base.priorities, with_scn.priorities)
     assert np.array_equal(base.gamma, with_scn.gamma)
-    assert np.array_equal(base.err_sq, with_scn.err_sq)
+    assert np.array_equal(base.errors, with_scn.errors)
 
 
 @pytest.mark.parametrize("scn", [actuator_failure((2,), 40),
