@@ -44,6 +44,13 @@ MUTANTS = [
     # the round engine
     (SIM, "        e_next[sent] = v[sent]\n", "",
      "no error reset after a received round"),
+    (SIM, """        if schedule_only:
+            E = e_next
+""", """        if schedule_only:
+            E = np.einsum("jk,rik->rij", P1, E) + v
+""", "no error reset on the schedule-only path alone"),
+    (SIM, "    if schedule_only and scenario.events:\n", "    if False:\n",
+     "the schedule-only path accepts a scenario with events"),
     (SIM, "cross = np.matmul(C, Xhat.reshape(R, N * n, 1))",
      "cross = np.matmul(C, X.reshape(R, N * n, 1))",
      "coupling on true states instead of shared estimates"),
@@ -104,7 +111,11 @@ MUTANTS = [
      "merge overwrites a cell's row instead of adding to it"),
     (CAL, "            self.row[new] = np.arange(n, n + new.size)",
      "            self.row[new] = np.arange(new.size)",
-     "new cells get rows numbered from 0 instead of from len(rows)"),
+     "new cells get rows numbered from 0 instead of after the used rows"),
+    (CAL, "                grown[:n] = self.rows[:n]\n", "",
+     "a bank's growth drops its rows so far"),
+    (CAL, '"rows": self.rows[:self.row.max() + 1]}', '"rows": self.rows}',
+     "a pickled bank carries its spare rows"),
     # aggregation, refusals and the CSV format
     (HARNESS, "    if seed == table.seed:", "    if False:",
      "no in-sample seed check"),

@@ -2,15 +2,15 @@
 
 calibrate(cfg, runs, seed, workers=1) is the one entry point. It simulates
 `runs` fault-free runs of the fleet a SystemConfig describes, with noise
-keyed on (seed, run), in lockstep chunks (simulate.run_lockstep), and bins
-run by run every window sum and period sum at rounds >= cfg.warmup_discard
-into one SampleBank per chunk. The chunks run in this process, or over a
-pool of `workers` processes (simulate.map_chunks), and their banks are
-merged in chunk order; a merge is exact integer addition, so the bank, and
-every artifact, is the same for any worker count. Models, bandwidth,
-quantization scale, eta, d, b and the run length all come from cfg. It
-then refuses a bank too thin for the sFD percentile, takes that
-percentile, and tabulates the dFD entries (dfd_entries).
+keyed on (seed, run), in lockstep chunks on the schedule-only path of
+simulate.run_lockstep, and bins run by run every window sum and period sum
+at rounds >= cfg.warmup_discard into one SampleBank per chunk. The chunks
+run in this process, or over a pool of `workers` processes (map_chunks),
+and merge into the first chunk's bank in chunk order; a merge is exact
+integer addition, so the bank, and every artifact, is the same for any
+worker count. Models, bandwidth, quantization scale, eta, d, b and the run
+length all come from cfg. It then refuses a bank too thin for the sFD
+percentile, takes that percentile, and tabulates the dFD entries.
 
 Thresholds are empirical percentiles of fault-free statistics. The sFD
 threshold is the 100(1-eta)th percentile of pooled window sums; each dFD
@@ -37,14 +37,15 @@ A Fleet gives every agent the same dynamics, self gain and priority
 weight, and a SystemConfig fleet every agent the same noise and cross
 gain, so pooling its agents mixes no distributions.
 fit_quantization_scale, the raw-priority pre-pass that gives a config its
-scale, takes a Fleet and refuses one whose noise covariances differ.
+scale, runs on the schedule-only path too; it takes a Fleet and refuses
+one whose noise covariances differ.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -119,7 +120,7 @@ class SampleBank:
         """Period sums per cell, as a (b, b, 2) array over (T1-1, T2-1, a)."""
         counts = np.zeros(self.row.size, dtype=np.int64)
         seen = self.row >= 0
-        counts[seen] = self.rows.sum(axis=1)[self.row[seen]]
+        counts[seen] = self.rows[self.row[seen]].sum(axis=1)
         return counts.reshape(self.b, self.b, 2)
 
     def observed(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -130,14 +131,20 @@ class SampleBank:
                 self.rows[self.row[cell]])
 
     def _add_cells(self, cell: np.ndarray) -> None:
-        """A zero histogram row for every cell in `cell` not yet seen."""
+        """A zero histogram row for every cell in `cell` not yet seen; rows
+        grow to at least twice their capacity, so a growth copy is rare."""
         new = np.unique(cell[self.row[cell] < 0])
         if new.size:
-            n = len(self.rows)
+            n, cap = self.row.max() + 1, len(self.rows)
             self.row[new] = np.arange(n, n + new.size)
-            self.rows = np.concatenate(
-                (self.rows, np.zeros((new.size, self.rows.shape[1]),
-                                     dtype=np.int64)))
+            if n + new.size > cap:
+                grown = np.zeros((max(2 * cap, n + new.size),
+                                  self.rows.shape[1]), dtype=np.int64)
+                grown[:n] = self.rows[:n]
+                self.rows = grown
+
+    def __getstate__(self):  # a pickled bank carries no spare rows
+        return {**vars(self), "rows": self.rows[:self.row.max() + 1]}
 
     def add_sums(self, windows: np.ndarray, t1: np.ndarray, t2: np.ndarray,
                  a: np.ndarray, sums: np.ndarray) -> None:
@@ -204,9 +211,8 @@ def calibrate(cfg: SystemConfig, runs: int, seed: int,
     m, scale = cfg.bandwidth, cfg.require_scale()
     worker = partial(_bank_chunk, cfg.models(), m, scale, cfg.rounds, seed,
                      cfg.d, cfg.b, cfg.warmup_discard)
-    bank = SampleBank(cfg.d, cfg.b)
-    for part in map_chunks(worker, runs, cfg.rounds * cfg.n_agents, workers):
-        bank.merge(part)
+    bank = reduce(SampleBank.merge,
+                  map_chunks(worker, runs, cfg.rounds * cfg.n_agents, workers))
     n = bank.sfd_count
     needed = MIN_SFD_SAMPLES_FACTOR / cfg.eta
     if n < needed:
@@ -226,7 +232,8 @@ def _bank_chunk(models: Fleet, m: int, scale: float, rounds: int, seed: int,
     """The bank of one chunk of runs, binned run by run: all that
     calibrate reads of a chunk, and all that a worker process sends back."""
     bank = SampleBank(d, b)
-    for trace in run_lockstep(models, m, scale, rounds, seed, chunk):
+    for trace in run_lockstep(models, m, scale, rounds, seed, chunk,
+                              schedule_only=True):
         bank.add_trace(trace.gamma, trace.priorities, warmup_discard)
     return bank
 
@@ -302,7 +309,8 @@ def fit_quantization_scale(models: Fleet, m: int, runs: int, run_length: int,
     samples = np.empty((runs, run_length - warmup_discard, len(models)))
     for chunk in chunks(runs, run_length * len(models)):
         for run, trace in zip(chunk, run_lockstep(
-                models, m, 1.0, run_length, seed, chunk, select_on_raw=True)):
+                models, m, 1.0, run_length, seed, chunk, select_on_raw=True,
+                schedule_only=True)):
             samples[run] = trace.raw_priorities[warmup_discard:]
     samples = samples.ravel()
     samples.sort()

@@ -15,12 +15,18 @@ The first two rounds have an empty delivery pipeline; the winner set from
 round-0 priorities transmits in round 2. States, estimates and errors start
 at zero, so the cold start is benign.
 
-The engine advances the shared estimates via the extrapolation rule and the
-estimation errors via their exact recursions (e <- v after a received
-round, e <- Atilde e + v after a silent one) whenever an agent's plant
-matches the shared model; plants mutated by fault scenarios fall back to
-explicit plant simulation with e = x - x_hat. True states are derived as
-x = x_hat + e.
+Every agent holds the same estimate of every other agent (the paper's
+assumption), so there is no inter-agent error. The engine advances those
+shared estimates by the extrapolation rule, and on a plant that matches
+the shared model the errors by their own recursion: e <- v after a
+received round, e <- Atilde e + v after a silent one. A plant mutated by
+a fault scenario falls back to explicit simulation with e = x - x_hat;
+true states are x = x_hat + e. Priorities depend only on e, and the
+schedule only on the priorities, so with schedule_only a fault-free chunk
+runs only the priorities, the selection and the error update, and its
+traces carry states and errors None; calibrate and the scale fit take
+that path. It refuses any scenario event: a mutated plant needs the
+estimates.
 
 Scenario events (scenarios.Event) take effect at the start of their round:
 a bandwidth change sets M for that round's selection, and each disturbance
@@ -75,8 +81,8 @@ class RunTrace:
     gamma: np.ndarray            # (T, N) bool
     priorities: np.ndarray       # (T, N) int16, quantized
     raw_priorities: np.ndarray   # (T, N) float64
-    states: np.ndarray           # (T, N, n) true states x(k)
-    errors: np.ndarray           # (T, N, n) estimation errors e(k)
+    states: np.ndarray | None    # (T, N, n) true states x(k)
+    errors: np.ndarray | None    # (T, N, n) estimation errors e(k)
     noise: np.ndarray            # (T, N, n) process noise
 
 
@@ -124,10 +130,11 @@ def run_single(models: Fleet, m: int, scale: float, rounds: int, seed: int,
 
 def run_lockstep(models: Fleet, m: int, scale: float, rounds: int, seed: int,
                  runs: Sequence[int], scenario: Scenario | None = None,
-                 select_on_raw: bool = False) -> list[RunTrace]:
+                 select_on_raw: bool = False,
+                 schedule_only: bool = False) -> list[RunTrace]:
     """Simulate the given runs in lockstep; trace r is run_single of
     runs[r]. Selection uses the quantized priorities, or the raw ones with
-    select_on_raw."""
+    select_on_raw; schedule_only skips the estimates (module docstring)."""
     if m <= 0:
         raise ConfigError(f"bandwidth M must be positive, got {m}")
     N, R, (n, nb) = len(models), len(runs), models.B.shape
@@ -137,6 +144,8 @@ def run_lockstep(models: Fleet, m: int, scale: float, rounds: int, seed: int,
     # events grouped by round, checked before round 0
     scenario = scenario or fault_free()
     scenario.check_fits(rounds, N, n)
+    if schedule_only and scenario.events:
+        raise ConfigError(f"schedule_only: scenario {scenario.name!r} has events")
     events: dict[int, list] = {}
     for ev in scenario.events:
         events.setdefault(ev.k, []).append(ev)
@@ -150,8 +159,9 @@ def run_lockstep(models: Fleet, m: int, scale: float, rounds: int, seed: int,
     gamma = np.zeros((R, rounds + 2, N), dtype=bool)  # winners land 2 rows ahead
     q = np.zeros((R, rounds, N), dtype=np.int16)
     raw = np.zeros((R, rounds, N))
-    states = np.zeros((R, rounds, N, n))
-    errors = np.zeros((R, rounds, N, n))
+    states = errors = [None] * R   # stored only with the estimates
+    if not schedule_only:
+        states, errors = np.zeros((R, rounds, N, n)), np.zeros((R, rounds, N, n))
     Xhat = np.zeros((R, N, n))
     E = np.zeros((R, N, n))
     actuated = np.ones(N, dtype=bool)   # cleared by set_B_zero
@@ -179,27 +189,29 @@ def run_lockstep(models: Fleet, m: int, scale: float, rounds: int, seed: int,
                     disturbances[i] = (chol, k, k + ev.duration, draws)
                 matched[i] = False
 
-        X = Xhat + E
-        states[:, k] = X
-        errors[:, k] = E
         e_pred = np.einsum("jk,rik->rij", P2, E)
         raw[:, k] = np.einsum("rij,jk,rik->ri", e_pred, W, e_pred)
         q[:, k] = quantize_batch(raw[:, k], scale)
         key = raw[:, k] if select_on_raw else q[:, k]
         gamma[rows, k + 2, top_m(key, M)] = True
 
+        sent, v = gamma[:, k], noise[:, k]
+        e_next = np.einsum("jk,rik->rij", P1, E) + v
+        e_next[sent] = v[sent]
+        if schedule_only:
+            E = e_next
+            continue
+
         # the estimate advances on the control of its base (a sender's true
         # state, else itself), a mutated plant below on that of its true state
-        sent = gamma[:, k]
+        X = Xhat + E
+        states[:, k] = X
+        errors[:, k] = E
         cross = np.matmul(C, Xhat.reshape(R, N * n, 1)).reshape(R, N, nb)
         base = np.where(sent[..., None], X, Xhat)
         ubase = np.einsum("mn,rin->rim", Fself, base) + cross
         xhat_next = (np.einsum("jk,rik->rij", A, base)
                      + np.einsum("mn,rin->rim", B, ubase))
-
-        v = noise[:, k]
-        e_next = np.einsum("jk,rik->rij", P1, E) + v
-        e_next[sent] = v[sent]
         plant = np.flatnonzero(~matched)
         if plant.size:
             u = np.einsum("mn,rin->rim", Fself, X[:, plant]) + cross[:, plant]

@@ -1,5 +1,6 @@
 import logging
 import math
+import pickle
 import tempfile
 from collections import Counter
 from dataclasses import replace
@@ -175,6 +176,25 @@ class TestMerge:
         only_b = check_merge(3, 6, random_trace(rng, 40, 1.0),
                              random_trace(rng, 40, 0.2), 5)
         assert only_b.sum() > 2 and not only_b[0, 0].any()
+
+    def test_rows_double_and_pickle_without_spares(self):
+        # three cells, one at a time: capacity 1, 2, then 4 rows; a pickled
+        # bank carries only its 3 used rows, and still grows and adds up
+        def one_cell(bank, t1):
+            bank.add_sums(np.array([t1]), np.array([t1]), np.array([4]),
+                          np.array([t1 % 2]), np.array([10 * t1]))
+        bank = SampleBank(3, 6)
+        for t1 in (1, 2, 3):
+            one_cell(bank, t1)
+        assert len(bank.rows) == 4
+        copy = pickle.loads(pickle.dumps(bank))
+        assert len(copy.rows) == 3
+        assert_banks_equal(copy, bank)
+        for b in (bank, copy):
+            one_cell(b, 4)
+            one_cell(b, 2)
+        assert_banks_equal(copy, bank)
+        assert bank.cell_counts()[1, 3, 0] == 2
 
     def test_mismatched_banks_refused(self):
         with pytest.raises(ConfigError, match="merge"):

@@ -1,6 +1,7 @@
 """The lockstep round engine: a run's trace is the same whatever chunk it
 is simulated in, every round of a chunk matches the agent-by-agent oracle,
-and the integer schedule of a fixed seed is pinned.
+the schedule-only path gives the same schedule as the full engine, and the
+integer schedule of a fixed seed is pinned.
 
 Only integer arrays are pinned: float bits can differ across BLAS builds,
 while the chunk-size comparisons below run on one build and compare every
@@ -15,14 +16,16 @@ import pytest
 
 from priofd.config import SystemConfig
 from priofd.dynamics import Fleet
+from priofd.errors import ConfigError
 from priofd.scenarios import PRESETS, Event, Scenario
 from priofd.simulate import (CHUNK_CELLS, RunTrace, chunks, run_lockstep,
                              run_single)
 
 from oracles import ref_replay
 
-DESK = SystemConfig.load(Path(__file__).resolve().parent.parent / "configs"
-                         / "cartpole_desk.json")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+DESK = SystemConfig.load(CONFIGS / "cartpole_desk.json")
+FULL = SystemConfig.load(CONFIGS / "cartpole_full.json")
 FIELDS = [f.name for f in dataclasses.fields(RunTrace)]
 DESK_CELLS = DESK.rounds * DESK.n_agents  # cells of one desk run
 DESK_CHUNK = CHUNK_CELLS // DESK_CELLS  # most desk runs in one chunk
@@ -64,10 +67,12 @@ PINNED = {
 }
 
 
-def lockstep(runs, scenario=None, select_on_raw=False, fleet=None):
-    return run_lockstep(fleet or DESK.models(), DESK.bandwidth,
-                        DESK.quant_scale, DESK.rounds, 7, runs,
-                        scenario=scenario, select_on_raw=select_on_raw)
+def lockstep(runs, scenario=None, select_on_raw=False, fleet=None,
+             schedule_only=False, cfg=DESK):
+    return run_lockstep(fleet or cfg.models(), cfg.bandwidth,
+                        cfg.quant_scale, cfg.rounds, 7, runs,
+                        scenario=scenario, select_on_raw=select_on_raw,
+                        schedule_only=schedule_only)
 
 
 def same_bits(a: RunTrace, b: RunTrace) -> bool:
@@ -103,13 +108,51 @@ def test_chunk_size_invariance(case):
     assert single.states.shape == (DESK.rounds, DESK.n_agents, DESK.n)
 
 
-@pytest.mark.parametrize("name", sorted(PINNED))
-def test_integer_schedule_pinned(name):
+def schedule_hash(traces) -> str:
     h = hashlib.sha256()
-    for trace in lockstep(range(8), PRESETS[name]()):
+    for trace in traces:
         h.update(trace.gamma.astype(np.uint8).tobytes())
         h.update(trace.priorities.astype("<i2").tobytes())
-    assert h.hexdigest() == PINNED[name]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_integer_schedule_pinned(name):
+    assert schedule_hash(lockstep(range(8), PRESETS[name]())) == PINNED[name]
+
+
+@pytest.mark.parametrize("cfg", [DESK, FULL], ids=["desk", "full"])
+@pytest.mark.parametrize("on_raw", [False, True], ids=["quantized", "raw"])
+def test_schedule_only_matches_full_engine(cfg, on_raw):
+    # one whole fault-free chunk; the schedule-only path skips the
+    # estimates and stores neither states nor errors, yet every schedule
+    # array is the same bit for bit
+    runs = range(CHUNK_CELLS // (cfg.rounds * cfg.n_agents))
+    full = lockstep(runs, select_on_raw=on_raw, cfg=cfg)
+    lean = lockstep(runs, select_on_raw=on_raw, schedule_only=True, cfg=cfg)
+    assert len(lean) == len(full) == len(runs) > 1
+    for a, b in zip(full, lean):
+        assert b.states is None and b.errors is None
+        for f in ("gamma", "priorities", "raw_priorities", "noise"):
+            got, want = getattr(b, f), getattr(a, f)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), f
+
+
+def test_schedule_only_pinned():
+    assert schedule_hash(lockstep(range(8), schedule_only=True)) \
+        == PINNED["fault-free"]
+
+
+@pytest.mark.parametrize("scenario", [
+    *(make() for name, make in sorted(PRESETS.items()) if name != "fault-free"),
+    COMBINED, Scenario("narrow", [Event(120, "set_bandwidth", bandwidth=1)])],
+    ids=lambda s: s.name)
+def test_schedule_only_refuses_events(scenario):
+    # the path serves fault-free runs only: a mutated plant needs the
+    # estimates, and a bandwidth change is refused too
+    with pytest.raises(ConfigError, match="has events"):
+        lockstep(range(2), scenario, schedule_only=True)
 
 
 @pytest.mark.parametrize("fleet, scenario", [
