@@ -39,6 +39,7 @@ CAL = "src/priofd/calibration.py"
 FD = "src/priofd/fd_dynamic.py"
 NET = "src/priofd/network.py"
 DYN = "src/priofd/dynamics.py"
+SCN = "src/priofd/scenarios.py"
 
 MUTANTS = [
     # the round engine
@@ -119,8 +120,8 @@ MUTANTS = [
     # aggregation, refusals and the CSV format
     (HARNESS, "    if seed == table.seed:", "    if False:",
      "no in-sample seed check"),
-    (HARNESS, "post = p[min(k_event + d, rounds):]",
-     "post = p[min(k_event + d - 1, rounds):]",
+    (HARNESS, "p[k_event + d:].mean(axis=0)",
+     "p[k_event + d - 1:].mean(axis=0)",
      "post-event interval starts one round early"),
     (HARNESS, "self.band_sq += band * band", "self.band_sq += band",
      "state band from the sum instead of the sum of squares"),
@@ -134,14 +135,29 @@ MUTANTS = [
     (HARNESS, """(np.repeat(np.arange(rounds), n_agents),
                  np.tile(np.arange(1, n_agents + 1), rounds),
                  *(arr.ravel() for arr in (rec.gamma, rec.priorities,
-                                           rec.sfd, rec.dfd)),
+                                           rec.alarms[..., SFD],
+                                           rec.alarms[..., DFD])),
                  *(rec.states[:, :, j].ravel() for j in range(n_sel))))""",
      """(np.tile(np.arange(rounds), n_agents),
                  np.repeat(np.arange(1, n_agents + 1), rounds),
                  *(arr.T.ravel() for arr in (rec.gamma, rec.priorities,
-                                             rec.sfd, rec.dfd)),
+                                             rec.alarms[..., SFD],
+                                             rec.alarms[..., DFD])),
                  *(rec.states[:, :, j].T.ravel() for j in range(n_sel))))""",
      "run record rows agent-major instead of k-major"),
+    # the detector axis: one place that swaps sFD and dFD
+    (HARNESS, """            alarms[:, i, SFD] = sfd_verdicts(q, table.sfd_kappa, table.d)
+            alarms[:, i, DFD] = dfd_verdicts(trace.gamma[:, i], q, table)""",
+     """            alarms[:, i, DFD] = sfd_verdicts(q, table.sfd_kappa, table.d)
+            alarms[:, i, SFD] = dfd_verdicts(trace.gamma[:, i], q, table)""",
+     "the worker files sFD verdicts under dFD and dFD under sFD"),
+    (HARNESS, "alarms[..., (SFD, DFD)] = flags[..., 2:]",
+     "alarms[..., (DFD, SFD)] = flags[..., 2:]",
+     "a parsed run record swaps its sfd and dfd columns"),
+    (SCN, """            if ev.kind == "add_disturbance":
+                _psd_factor(""", """            if False:
+                _psd_factor(""",
+     "a scenario accepts a covariance that is not symmetric PSD"),
     # the package surface perfbench/child.py relies on
     (HARNESS, "from .simulate import run_single  # noqa: F401\n", "",
      "perfbench surface: harness.run_single gone"),

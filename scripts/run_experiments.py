@@ -24,7 +24,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from priofd.calibration import calibrate, write_calibration_report
 from priofd.config import SystemConfig, build_preset
-from priofd.harness import emit_csv, run_batch
+from priofd.harness import DETECTORS, emit_csv, run_batch
 from priofd.scenarios import actuator_failure, bandwidth_loss, fault_free
 
 SCALES = {
@@ -76,10 +76,9 @@ def main() -> int:
             record_runs=3, workers=args.workers)
         emit_csv(report, records, outdir / name, cfg,
                  args.seed + 100 * (idx + 1), scenario.name)
-        pre_s, post_s = report.interval_rates("sfd", monitored)
-        pre_d, post_d = report.interval_rates("dfd", monitored)
-        print(f"[{time.time() - t0:7.1f}s] {name}: agent {monitored} "
-              f"sfd {pre_s:.4f}->{post_s:.4f}  dfd {pre_d:.4f}->{post_d:.4f}")
+        rates = "  ".join("{} {:.4f}->{:.4f}".format(
+            det, *report.interval_rates(det, monitored)) for det in DETECTORS)
+        print(f"[{time.time() - t0:7.1f}s] {name}: agent {monitored} {rates}")
     print(f"artifacts under {outdir}/")
     return 0
 

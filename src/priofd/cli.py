@@ -17,7 +17,7 @@ from .calibration import calibrate, write_calibration_report
 from .config import PRESET_SIZES, SystemConfig, build_preset
 from .errors import CalibrationError, ConfigError
 from .fd_dynamic import ThresholdTable
-from .harness import emit_csv, run_batch
+from .harness import DETECTORS, emit_csv, run_batch
 from .scenarios import resolve_scenario
 
 
@@ -104,11 +104,10 @@ def cmd_run(args) -> None:
                                 workers=args.workers)
     files = emit_csv(report, records, args.out, cfg, args.seed, scenario.name)
     mon = report.monitored
-    pre_s, post_s = report.interval_rates("sfd", mon)
-    pre_d, post_d = report.interval_rates("dfd", mon)
     print(f"{args.runs} runs of '{scenario.name}', monitored agent {mon}")
-    print(f"  sfd rate pre={pre_s:.4f} post={post_s:.4f}")
-    print(f"  dfd rate pre={pre_d:.4f} post={post_d:.4f}")
+    for det in DETECTORS:
+        pre, post = report.interval_rates(det, mon)
+        print(f"  {det} rate pre={pre:.4f} post={post:.4f}")
     print(f"  wrote {len(files)} files under {args.out}")
 
 

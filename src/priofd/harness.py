@@ -7,11 +7,13 @@ each artifact is a set of equal-length columns, and every cell is str of
 the Python value (bools as 0 and 1; str of a float is its repr, which
 parses back bit-exactly). Aggregates are exact counts divided by the run
 count and can be recomputed from emitted run records.
+Every per-detector array ends in an axis of length 2 in the order of
+DETECTORS; the CSV column names stay the literal text of the file format.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -27,6 +29,9 @@ from .simulate import map_chunks, run_lockstep
 # perfbench wraps run_single here; a benchmark-only change moves that to run_lockstep
 from .simulate import run_single  # noqa: F401
 
+DETECTORS = ("sfd", "dfd")
+SFD, DFD = DETECTORS.index("sfd"), DETECTORS.index("dfd")
+
 
 @dataclass
 class RunRecord:
@@ -35,17 +40,12 @@ class RunRecord:
     seed: int
     gamma: np.ndarray       # (T, N) bool
     priorities: np.ndarray  # (T, N) int
-    sfd: np.ndarray         # (T, N) bool
-    dfd: np.ndarray         # (T, N) bool
+    alarms: np.ndarray      # (T, N, 2) bool
     states: np.ndarray      # (T, N, n_sel) selected state components
 
     def __eq__(self, other) -> bool:
-        return (self.run == other.run and self.seed == other.seed
-                and np.array_equal(self.gamma, other.gamma)
-                and np.array_equal(self.priorities, other.priorities)
-                and np.array_equal(self.sfd, other.sfd)
-                and np.array_equal(self.dfd, other.dfd)
-                and np.array_equal(self.states, other.states))
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 @dataclass
@@ -55,14 +55,10 @@ class AggregateReport:
     n_agents: int
     monitored: int              # agent id of the headline alarm series
     k_event: int | None
-    p_sfd: np.ndarray           # (T, N) per-timestep alarm probability
-    p_dfd: np.ndarray
-    pre_sfd: np.ndarray         # (N,) interval false-positive/alarm rates
-    post_sfd: np.ndarray
-    pre_dfd: np.ndarray
-    post_dfd: np.ndarray
-    delay_sfd: np.ndarray       # (runs,) detection delay, NaN if never
-    delay_dfd: np.ndarray
+    p: np.ndarray               # (T, N, 2) per-timestep alarm probability
+    pre: np.ndarray             # (N, 2) interval false-positive/alarm rates
+    post: np.ndarray
+    delay: np.ndarray           # (runs, 2) detection delay, NaN if never
     mean_err_sq: np.ndarray     # (T, N) Monte Carlo mean ||e_i(k)||^2
     band_agent: int             # agent id of the state band series
     band_component: int         # 1-based state index
@@ -70,28 +66,27 @@ class AggregateReport:
     state_std: np.ndarray       # (T,)
 
     def interval_rates(self, detector: str, agent: int) -> tuple[float, float]:
-        pre = self.pre_sfd if detector == "sfd" else self.pre_dfd
-        post = self.post_sfd if detector == "sfd" else self.post_dfd
-        return float(pre[agent - 1]), float(post[agent - 1])
+        """(pre, post) of a 1-based agent; ValueError if not in DETECTORS."""
+        j = DETECTORS.index(detector)
+        return float(self.pre[agent - 1, j]), float(self.post[agent - 1, j])
 
 
 def _run_chunk(models, m, scale, rounds, seed, scenario, table, band,
                record_runs, chunk):
-    """All a worker sends back, per run in run order: (sfd, dfd, states at the
+    """All a worker sends back, per run in run order: (alarms, states at the
     0-based `band` pair, err_sq) and the RunRecord, None from record_runs on."""
     out = []
     for run, trace in zip(chunk, run_lockstep(models, m, scale, rounds, seed,
                                               chunk, scenario=scenario)):
-        n_agents = trace.gamma.shape[1]
-        sfd = np.stack([sfd_verdicts(trace.priorities[:, i], table.sfd_kappa,
-                                     table.d)
-                        for i in range(n_agents)], axis=1)
-        dfd = np.stack([dfd_verdicts(trace.gamma[:, i], trace.priorities[:, i],
-                                     table) for i in range(n_agents)], axis=1)
-        summary = (sfd, dfd, trace.states[:, band[0], band[1]],
+        alarms = np.empty(trace.gamma.shape + (len(DETECTORS),), dtype=bool)
+        for i in range(trace.gamma.shape[1]):
+            q = trace.priorities[:, i]
+            alarms[:, i, SFD] = sfd_verdicts(q, table.sfd_kappa, table.d)
+            alarms[:, i, DFD] = dfd_verdicts(trace.gamma[:, i], q, table)
+        summary = (alarms, trace.states[:, band[0], band[1]],
                    np.einsum("kij,kij->ki", trace.errors, trace.errors))
-        record = (RunRecord(run, seed, trace.gamma, trace.priorities, sfd,
-                            dfd, trace.states) if run < record_runs else None)
+        record = (RunRecord(run, seed, trace.gamma, trace.priorities, alarms,
+                            trace.states) if run < record_runs else None)
         out.append((summary, record))
     return out
 
@@ -124,42 +119,32 @@ class _Tally:
         self.cfg, self.runs, self.k_event = cfg, runs, k_event
         self.monitored = monitored
         self.band_agent, self.band_component = band_agent, band_component
-        self.alarm_sfd = np.zeros((rounds, n_agents), dtype=np.int64)
-        self.alarm_dfd = np.zeros((rounds, n_agents), dtype=np.int64)
+        self.alarms = np.zeros((rounds, n_agents, len(DETECTORS)),
+                               dtype=np.int64)
         self.band_sum = np.zeros(rounds)
         self.band_sq = np.zeros(rounds)
-        self.delay_sfd = np.full(runs, np.nan)
-        self.delay_dfd = np.full(runs, np.nan)
+        self.delay = np.full((runs, len(DETECTORS)), np.nan)
 
-    def add(self, run: int, sfd: np.ndarray, dfd: np.ndarray,
-            band: np.ndarray) -> None:
-        self.alarm_sfd += sfd
-        self.alarm_dfd += dfd
+    def add(self, run: int, alarms: np.ndarray, band: np.ndarray) -> None:
+        self.alarms += alarms
         self.band_sum += band
         self.band_sq += band * band
         if self.k_event is not None:
-            for arr, out in ((sfd, self.delay_sfd), (dfd, self.delay_dfd)):
-                hits = np.flatnonzero(arr[self.k_event:, self.monitored - 1])
-                if hits.size:
-                    out[run] = hits[0]
+            after = alarms[self.k_event:, self.monitored - 1]
+            hit = after.any(axis=0)
+            self.delay[run, hit] = after.argmax(axis=0)[hit]
 
     def report(self, mean_err_sq: np.ndarray) -> AggregateReport:
         cfg, runs = self.cfg, self.runs
-        rounds, n_agents = self.alarm_sfd.shape
-        p_sfd = self.alarm_sfd / runs
-        p_dfd = self.alarm_dfd / runs
-        pre_sfd, post_sfd = _interval_rates(p_sfd, cfg.warmup_discard,
-                                            self.k_event, cfg.d)
-        pre_dfd, post_dfd = _interval_rates(p_dfd, cfg.warmup_discard,
-                                            self.k_event, cfg.d)
+        rounds, n_agents, _ = self.alarms.shape
+        p = self.alarms / runs
+        pre, post = _interval_rates(p, cfg.warmup_discard, self.k_event, cfg.d)
         mean_state = self.band_sum / runs
         var = np.maximum(self.band_sq / runs - mean_state ** 2, 0.0)
         return AggregateReport(
             runs=runs, rounds=rounds, n_agents=n_agents,
-            monitored=self.monitored, k_event=self.k_event, p_sfd=p_sfd,
-            p_dfd=p_dfd, pre_sfd=pre_sfd, post_sfd=post_sfd, pre_dfd=pre_dfd,
-            post_dfd=post_dfd, delay_sfd=self.delay_sfd,
-            delay_dfd=self.delay_dfd, mean_err_sq=mean_err_sq,
+            monitored=self.monitored, k_event=self.k_event, p=p, pre=pre,
+            post=post, delay=self.delay, mean_err_sq=mean_err_sq,
             band_agent=self.band_agent, band_component=self.band_component,
             state_mean=mean_state, state_std=np.sqrt(var))
 
@@ -200,9 +185,9 @@ def run_batch(cfg: SystemConfig, scenario: Scenario | None,
     records: list[RunRecord] = []
 
     results = map_chunks(worker, runs, rounds * n_agents, workers)
-    for run, ((sfd, dfd, band, err_sq), rec) in enumerate(
+    for run, ((alarms, band, err_sq), rec) in enumerate(
             out for chunk in results for out in chunk):
-        tally.add(run, sfd, dfd, band)
+        tally.add(run, alarms, band)
         err_sq_sum += err_sq
         if rec is not None:
             records.append(rec)
@@ -213,15 +198,11 @@ def run_batch(cfg: SystemConfig, scenario: Scenario | None,
 def _interval_rates(p: np.ndarray, warmup: int, k_event: int | None,
                     d: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean per-timestep rate before the event and after it has fully
-    entered the detection window ([k_event + d, T))."""
-    rounds = p.shape[0]
-    pre_end = rounds if k_event is None else k_event
-    pre = p[warmup:pre_end].mean(axis=0)
+    entered the detection window ([k_event + d, T)); _Tally refuses an
+    event that leaves either interval empty."""
     if k_event is None:
-        post = np.full(p.shape[1], np.nan)
-    else:
-        post = p[min(k_event + d, rounds):].mean(axis=0)
-    return pre, post
+        return p[warmup:].mean(axis=0), np.full(p.shape[1:], np.nan)
+    return p[warmup:k_event].mean(axis=0), p[k_event + d:].mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +237,8 @@ def write_table(path, header: str, names: Sequence[str],
 def write_alarm_series(report: AggregateReport, path: Path, header: str) -> None:
     agent = report.monitored - 1
     write_table(path, header, ("k", "p_sfd", "p_dfd"),
-                (np.arange(report.rounds), report.p_sfd[:, agent],
-                 report.p_dfd[:, agent]))
+                (np.arange(report.rounds), report.p[:, agent, SFD],
+                 report.p[:, agent, DFD]))
 
 
 def write_state_bands(report: AggregateReport, path: Path, header: str) -> None:
@@ -272,13 +253,13 @@ def write_interval_rates(report: AggregateReport, path: Path, header: str) -> No
     n = report.n_agents
     write_table(path, header, ("detector", "agent", "pre_rate", "post_rate"),
                 (["sfd"] * n + ["dfd"] * n, np.tile(np.arange(1, n + 1), 2),
-                 np.concatenate((report.pre_sfd, report.pre_dfd)),
-                 np.concatenate((report.post_sfd, report.post_dfd))))
+                 report.pre[:, (SFD, DFD)].T.ravel(),
+                 report.post[:, (SFD, DFD)].T.ravel()))
 
 
 def write_detection_delays(report: AggregateReport, path: Path, header: str) -> None:
-    finite = [d[np.isfinite(d)].astype(int) for d in
-              (report.delay_sfd, report.delay_dfd)]
+    finite = [d[np.isfinite(d)].astype(int)
+              for d in report.delay[:, (SFD, DFD)].T]
     top = int(max((arr.max() for arr in finite if arr.size), default=-1)) + 1
     write_table(path, header, ("delay", "n_sfd", "n_dfd"),
                 (np.arange(top), *(np.bincount(arr, minlength=top)
@@ -294,7 +275,8 @@ def write_run_record(rec: RunRecord, path: Path, header: str) -> None:
                 (np.repeat(np.arange(rounds), n_agents),
                  np.tile(np.arange(1, n_agents + 1), rounds),
                  *(arr.ravel() for arr in (rec.gamma, rec.priorities,
-                                           rec.sfd, rec.dfd)),
+                                           rec.alarms[..., SFD],
+                                           rec.alarms[..., DFD])),
                  *(rec.states[:, :, j].ravel() for j in range(n_sel))))
 
 
@@ -315,13 +297,14 @@ def parse_run_record(path: Path) -> RunRecord:
     cells = np.array(rows)
     ks, agents = cells[:, 0].astype(int), cells[:, 1].astype(int) - 1
     shape = (ks.max() + 1, agents.max() + 1)
-    fields = [np.zeros(shape, dtype=dtype)
-              for dtype in (bool, np.int16, bool, bool)]
-    for col, arr in enumerate(fields, start=2):
-        arr[ks, agents] = cells[:, col].astype(int)
+    flags = np.zeros(shape + (4,), dtype=np.int16)
+    flags[ks, agents] = cells[:, 2:6].astype(int)
+    alarms = np.empty(shape + (len(DETECTORS),), dtype=bool)
+    alarms[..., (SFD, DFD)] = flags[..., 2:]
     states = np.zeros(shape + (cells.shape[1] - 6,))
     states[ks, agents] = cells[:, 6:].astype(float)
-    return RunRecord(run, seed, *fields, states)
+    return RunRecord(run, seed, flags[..., 0].astype(bool), flags[..., 1],
+                     alarms, states)
 
 
 def emit_csv(report: AggregateReport, records: Sequence[RunRecord],
@@ -361,6 +344,6 @@ def report_from_records(records: Sequence[RunRecord], cfg: SystemConfig,
     tally = _Tally(cfg, scenario, len(records), rounds, n_agents,
                    n_components, monitored, band_agent, band_component)
     for run, rec in enumerate(records):
-        tally.add(run, rec.sfd, rec.dfd,
+        tally.add(run, rec.alarms,
                   rec.states[:, band_agent - 1, band_component - 1])
     return tally.report(np.full((rounds, n_agents), np.nan))

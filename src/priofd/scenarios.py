@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import finite, integer, load_json, read_key
+from .dynamics import _psd_factor
 from .errors import ConfigError
 
 
@@ -79,7 +80,7 @@ class Scenario:
         """Refuse events that a run of this length and fleet never applies,
         plant events that name no agent, and events that cannot apply: a
         bandwidth below 1, a disturbance shorter than one round or with a
-        covariance that is not n x n."""
+        covariance that is not n x n, symmetric and PSD."""
         for ev in self.events:
             if ev.kind != "set_bandwidth" and not ev.agents:
                 raise ConfigError(f"scenario {self.name!r}: {ev.kind} event "
@@ -99,6 +100,9 @@ class Scenario:
                 raise ConfigError(
                     f"disturbance covariance shape {np.shape(ev.covariance)} "
                     f"does not match state dimension {n}")
+            if ev.kind == "add_disturbance":
+                _psd_factor(np.array(ev.covariance),
+                            f"disturbance covariance at k={ev.k}")
 
     @classmethod
     def load(cls, path: str | Path) -> "Scenario":

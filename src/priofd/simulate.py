@@ -59,7 +59,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .dynamics import (DISTURBANCE_NOISE, PROCESS_NOISE, Fleet,
+from .dynamics import (DISTURBANCE_NOISE, PROCESS_NOISE, Fleet, _psd_factor,
                        draw_noise_block, noise_stream)
 from .errors import ConfigError
 from .network import top_m
@@ -180,8 +180,8 @@ def run_lockstep(models: Fleet, m: int, scale: float, rounds: int, seed: int,
                 if ev.kind == "set_B_zero":
                     actuated[i] = False
                 else:  # add_disturbance: all its draws, one block per run
-                    chol = np.linalg.cholesky(np.array(
-                        ev.covariance, dtype=float) + 1e-12 * np.eye(n))
+                    chol = _psd_factor(np.array(ev.covariance, dtype=float),
+                                       "disturbance covariance")
                     size = (min(ev.duration, rounds - k), n)
                     draws = np.array([noise_stream(
                         seed, run, agent, DISTURBANCE_NOISE).standard_normal(size)

@@ -19,7 +19,7 @@ from priofd.calibration import calibrate
 from priofd.config import SystemConfig
 from priofd.fd_dynamic import (ThresholdTable, dfd_evaluate, partition_window)
 from priofd.fd_static import StaticDetector
-from priofd.harness import emit_csv, run_batch
+from priofd.harness import DFD, SFD, emit_csv, run_batch
 from priofd.network import ScheduleHistory
 from priofd.scenarios import actuator_failure, bandwidth_loss
 from priofd.simulate import run_lockstep, run_single
@@ -74,8 +74,8 @@ def traces100(desk_cfg, desk_models):
 
 
 def test_criterion_01_sfd_false_positive_self_consistency(heldout):
-    rate_sfd = float(heldout.p_sfd[50:].mean())
-    rate_dfd = float(heldout.p_dfd[50:].mean())
+    rate_sfd = float(heldout.p[50:, :, SFD].mean())
+    rate_dfd = float(heldout.p[50:, :, DFD].mean())
     check(1, "held-out sFD and dFD per-timestep alarm rates within eta "
           "plus slack", rate_sfd <= 0.015 and rate_dfd <= 0.015,
           f"sfd={rate_sfd:.5f} dfd={rate_dfd:.5f} bound=0.015 over "
@@ -83,10 +83,10 @@ def test_criterion_01_sfd_false_positive_self_consistency(heldout):
 
 
 def test_criterion_02_bandwidth_robustness_ordering(scn2_report):
-    pre_s = float(scn2_report.pre_sfd.mean())
-    post_s = float(scn2_report.post_sfd.mean())
-    pre_d = float(scn2_report.pre_dfd.mean())
-    post_d = float(scn2_report.post_dfd.mean())
+    pre_s = float(scn2_report.pre[:, SFD].mean())
+    post_s = float(scn2_report.post[:, SFD].mean())
+    pre_d = float(scn2_report.pre[:, DFD].mean())
+    post_d = float(scn2_report.post[:, DFD].mean())
     ratio_s = post_s / pre_s
     ratio_d = post_d / pre_d
     check(2, "sFD degrades at least twofold and dFD adapts better",
@@ -99,11 +99,11 @@ def test_criterion_03_detection_and_containment(scn1_report):
     rep = scn1_report
     window = slice(100, 150)
     faulty = 2
-    peak_s = float(rep.p_sfd[window, faulty - 1].max())
-    peak_d = float(rep.p_dfd[window, faulty - 1].max())
+    peak_s = float(rep.p[window, faulty - 1, SFD].max())
+    peak_d = float(rep.p[window, faulty - 1, DFD].max())
     healthy = [i for i in range(rep.n_agents) if i != faulty - 1]
-    worst_s = float(rep.p_sfd[window][:, healthy].mean(axis=0).max())
-    worst_d = float(rep.p_dfd[window][:, healthy].mean(axis=0).max())
+    worst_s = float(rep.p[window][:, healthy, SFD].mean(axis=0).max())
+    worst_d = float(rep.p[window][:, healthy, DFD].mean(axis=0).max())
     check(3, "actuator fault detected within 50 rounds, healthy agents quiet",
           peak_s >= 0.9 and peak_d >= 0.9 and worst_s <= 0.05
           and worst_d <= 0.05,

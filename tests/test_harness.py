@@ -7,8 +7,11 @@ import pytest
 from priofd.calibration import calibrate
 from priofd.cli import main
 from priofd.errors import ConfigError
-from priofd.harness import (RunRecord, _run_chunk, emit_csv,
-                            parse_run_record, report_from_records, run_batch,
+from priofd.fd_dynamic import dfd_verdicts
+from priofd.fd_static import sfd_verdicts
+from priofd.harness import (DETECTORS, DFD, SFD, AggregateReport, RunRecord,
+                            _run_chunk, emit_csv, parse_run_record,
+                            report_from_records, run_batch,
                             write_alarm_series, write_detection_delays,
                             write_run_record)
 from priofd.scenarios import (PRESETS, actuator_failure, bandwidth_loss,
@@ -36,8 +39,7 @@ def both_entry_points(cfg, table, records, scenario, monitored=2,
 
 def test_single_run_probabilities_are_indicator(desk_cfg, small_table):
     report, _ = run_batch(desk_cfg, None, small_table, runs=1, seed=50)
-    assert set(np.unique(report.p_sfd)) <= {0.0, 1.0}
-    assert set(np.unique(report.p_dfd)) <= {0.0, 1.0}
+    assert set(np.unique(report.p)) <= {0.0, 1.0}
 
 
 def test_incompatible_table_refused(desk_cfg, small_table):
@@ -67,7 +69,7 @@ def test_event_leaving_no_post_interval_refused(desk_cfg, small_table,
                 call()
     report, _ = run_batch(desk_cfg, actuator_failure((2,), 289), small_table,
                           runs=1, seed=0)
-    assert np.isfinite(report.post_sfd).all()
+    assert np.isfinite(report.post).all()
 
 
 def test_event_leaving_no_pre_interval_refused(desk_cfg, small_table,
@@ -83,8 +85,7 @@ def test_event_leaving_no_pre_interval_refused(desk_cfg, small_table,
                 call()
     report, _ = run_batch(desk_cfg, actuator_failure((2,), 51), small_table,
                           runs=2, seed=5)
-    assert np.isfinite(report.pre_sfd).all()
-    assert np.isfinite(report.pre_dfd).all()
+    assert np.isfinite(report.pre).all()
 
 
 def test_in_sample_seed_refused(desk_cfg, small_table):
@@ -136,7 +137,8 @@ def test_short_records_refused(desk_cfg):
     rounds, agents = 3, 2
     cfg = dataclasses.replace(desk_cfg, rounds=rounds, warmup_discard=1, d=1)
     zeros = np.zeros((rounds, agents), dtype=bool)
-    records = [RunRecord(0, 9, zeros, zeros.astype(np.int16), zeros, zeros,
+    records = [RunRecord(0, 9, zeros, zeros.astype(np.int16),
+                         np.zeros((rounds, agents, 2), dtype=bool),
                          np.zeros((rounds, agents, 1)))]
     for scenario, monitored, match in (
             (actuator_failure((1,), 0), 1, "k=0 leaves no pre-event"),
@@ -160,9 +162,8 @@ def test_monitored_defaults_to_first_faulty(small_batch):
 
 def test_detection_delays_recorded(small_batch):
     report, _ = small_batch
-    assert np.isfinite(report.delay_sfd).all()
-    assert np.isfinite(report.delay_dfd).all()
-    assert (report.delay_sfd >= 0).all()
+    assert np.isfinite(report.delay).all()
+    assert (report.delay >= 0).all()
 
 
 def test_record_roundtrip(tmp_path, small_batch):
@@ -180,14 +181,12 @@ def test_report_recomputable_from_records(desk_cfg, small_table, small_batch):
     again = report_from_records(records, desk_cfg, actuator_failure((2,), 100),
                                 monitored=report.monitored,
                                 band_agent=report.band_agent)
-    assert np.array_equal(report.p_sfd, again.p_sfd)
-    assert np.array_equal(report.p_dfd, again.p_dfd)
-    assert np.array_equal(report.delay_sfd, again.delay_sfd, equal_nan=True)
-    assert np.array_equal(report.delay_dfd, again.delay_dfd, equal_nan=True)
-    assert np.array_equal(report.pre_sfd, again.pre_sfd)
-    assert np.array_equal(report.post_dfd, again.post_dfd)
-    assert np.array_equal(report.state_mean, again.state_mean)
-    assert np.array_equal(report.state_std, again.state_std)
+    # mean_err_sq is not in run records: report_from_records leaves it NaN
+    for field in dataclasses.fields(AggregateReport):
+        if field.name != "mean_err_sq":
+            assert np.array_equal(getattr(report, field.name),
+                                  getattr(again, field.name),
+                                  equal_nan=True), field.name
 
 
 def test_emitted_files_deterministic(tmp_path, desk_cfg, small_table):
@@ -211,9 +210,15 @@ def test_chunk_records_only_runs_below_record_runs(desk_cfg, small_table):
                      range(1, 6))
     assert [None if rec is None else rec.run for _, rec in out] == [
         1, 2, None, None, None]
-    for (sfd, dfd, band, err_sq), rec in out[:2]:
-        assert np.array_equal(sfd, rec.sfd) and np.array_equal(dfd, rec.dfd)
+    for (alarms, band, err_sq), rec in out[:2]:
+        assert np.array_equal(alarms, rec.alarms)
         assert np.array_equal(band, rec.states[:, 1, 2])
+        for i in range(desk_cfg.n_agents):
+            q = rec.priorities[:, i]
+            assert np.array_equal(alarms[:, i, SFD], sfd_verdicts(
+                q, small_table.sfd_kappa, small_table.d))
+            assert np.array_equal(alarms[:, i, DFD], dfd_verdicts(
+                rec.gamma[:, i], q, small_table))
     assert err_sq.shape == (desk_cfg.rounds, desk_cfg.n_agents)
 
 
@@ -221,8 +226,7 @@ def test_workers_match_serial(tmp_path, desk_cfg, small_table):
     serial, _ = run_batch(desk_cfg, None, small_table, runs=6, seed=5)
     parallel, _ = run_batch(desk_cfg, None, small_table, runs=6, seed=5,
                             workers=2)
-    assert np.array_equal(serial.p_sfd, parallel.p_sfd)
-    assert np.array_equal(serial.p_dfd, parallel.p_dfd)
+    assert np.array_equal(serial.p, parallel.p)
     assert np.array_equal(serial.state_mean, parallel.state_mean)
     with pytest.raises(ConfigError, match="workers must be >= 1, got 0"):
         run_batch(desk_cfg, None, small_table, runs=6, seed=5, workers=0)
@@ -253,9 +257,10 @@ def test_hand_computed_aggregate_bytes(tmp_path, desk_cfg):
     def rec(run, sfd, dfd, band):
         states = np.zeros((rounds, agents, 1))
         states[:, 0, 0] = band
+        alarms = np.zeros((rounds, agents, len(DETECTORS)), dtype=bool)
+        alarms[..., SFD], alarms[..., DFD] = sfd, dfd
         return RunRecord(run, 9, np.zeros((rounds, agents), dtype=bool),
-                         np.zeros((rounds, agents), dtype=np.int16),
-                         np.array(sfd, dtype=bool), np.array(dfd, dtype=bool),
+                         np.zeros((rounds, agents), dtype=np.int16), alarms,
                          states)
 
     records = [
@@ -280,12 +285,15 @@ def test_hand_computed_aggregate_bytes(tmp_path, desk_cfg):
         records, dataclasses.replace(cfg, warmup_discard=0, d=1),
         actuator_failure((1,), 1), monitored=1, band_agent=1,
         band_component=1)
-    assert event.delay_sfd.tolist() == [0.0, 0.0]
-    assert event.delay_dfd.tolist() == [1.0, 0.0]
+    assert event.delay[:, SFD].tolist() == [0.0, 0.0]
+    assert event.delay[:, DFD].tolist() == [1.0, 0.0]
     # agent 1 alarms with p_sfd (0, 1, 0.5) and p_dfd (0, 0.5, 1): the pre
     # interval is [0, 1), the post interval [k + d, 3) = [2, 3)
     assert event.interval_rates("sfd", 1) == (0.0, 0.5)
     assert event.interval_rates("dfd", 1) == (0.0, 1.0)
+    for name in ("sFD", "DFD", "both", ""):
+        with pytest.raises(ValueError):
+            event.interval_rates(name, 1)
 
 
 def test_empty_delay_table_is_header_only(tmp_path, desk_cfg, small_table):
@@ -328,7 +336,7 @@ def test_every_cell_follows_the_format_rule(tmp_path, desk_cfg, small_table,
     ks = range(report.rounds)
     agent = report.monitored - 1
     assert_cells(tmp_path / "alarm_probability.csv", 1, ("k", "p_sfd", "p_dfd"),
-                 [(k, report.p_sfd[k, agent], report.p_dfd[k, agent])
+                 [(k, report.p[k, agent, SFD], report.p[k, agent, DFD])
                   for k in ks])
     bands = []
     for k in ks:
@@ -338,9 +346,8 @@ def test_every_cell_follows_the_format_rule(tmp_path, desk_cfg, small_table,
     assert_cells(tmp_path / "state_bands.csv", 1,
                  ("k", "minus3", "minus2", "minus1", "mean", "plus1", "plus2",
                   "plus3"), bands)
-    rates = [(det, i + 1, pre[i], post[i])
-             for det, pre, post in (("sfd", report.pre_sfd, report.post_sfd),
-                                    ("dfd", report.pre_dfd, report.post_dfd))
+    rates = [(det, i + 1, report.pre[i, j], report.post[i, j])
+             for det, j in (("sfd", SFD), ("dfd", DFD))
              for i in range(report.n_agents)]
     assert_cells(tmp_path / "interval_rates.csv", 1,
                  ("detector", "agent", "pre_rate", "post_rate"), rates)
@@ -349,8 +356,8 @@ def test_every_cell_follows_the_format_rule(tmp_path, desk_cfg, small_table,
     # the post interval exists exactly when the scenario has an event
     assert all((cell == "nan") == (report.k_event is None)
                for cell in post_cells)
-    delays = [report.delay_sfd[np.isfinite(report.delay_sfd)],
-              report.delay_dfd[np.isfinite(report.delay_dfd)]]
+    delays = [d[np.isfinite(d)] for d in
+              (report.delay[:, SFD], report.delay[:, DFD])]
     top = int(max((d.max() for d in delays if d.size), default=-1))
     assert_cells(tmp_path / "detection_delays.csv", 1,
                  ("delay", "n_sfd", "n_dfd"),
@@ -362,8 +369,8 @@ def test_every_cell_follows_the_format_rule(tmp_path, desk_cfg, small_table,
             tmp_path / f"run_{rec.run:05d}.csv", 1,
             ("k", "agent", "gamma", "quantized_priority", "sfd", "dfd",
              *(f"x{j + 1}" for j in range(n_sel))),
-            [(k, i + 1, rec.gamma[k, i], rec.priorities[k, i], rec.sfd[k, i],
-              rec.dfd[k, i], *rec.states[k, i])
+            [(k, i + 1, rec.gamma[k, i], rec.priorities[k, i],
+              rec.alarms[k, i, SFD], rec.alarms[k, i, DFD], *rec.states[k, i])
              for k in ks for i in range(report.n_agents)])
 
 
@@ -521,4 +528,19 @@ class TestCli:
                      "--out", str(tmp_path / "x")]) == 2
         assert f"{kind} event at k=100 names no agent" in \
             capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_non_psd_disturbance_is_refused(self, artifacts, tmp_path,
+                                            capsys):
+        _, cfg, table = artifacts
+        scenario = tmp_path / "scn.json"
+        cov = np.diag([1e-4, -1e-4, 0.0, 0.0]).tolist()
+        scenario.write_text(json.dumps({"name": "x", "events": [
+            {"k": 100, "kind": "add_disturbance", "agents": [2],
+             "duration": 5, "covariance": cov}]}))
+        assert main(["run", "--config", str(cfg), "--table", str(table),
+                     "--scenario", str(scenario), "--runs", "2",
+                     "--workers", "2", "--out", str(tmp_path / "x")]) == 2
+        assert ("disturbance covariance at k=100 is not positive "
+                "semidefinite") in capsys.readouterr().err
         assert not (tmp_path / "x").exists()

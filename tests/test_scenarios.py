@@ -102,6 +102,19 @@ def test_disturbance_covariance_shape_validated(desk_cfg, desk_models):
                          "duration": 5, "covariance": [[1.0, 0.0], [0.0]]})
 
 
+@pytest.mark.parametrize("cov,match", [
+    (np.diag([1.0, -1.0, 1.0, 1.0]), "is not positive semidefinite"),
+    # cholesky reads only the lower triangle, which here is the identity
+    (np.triu(np.ones((4, 4))), "must be symmetric")])
+def test_disturbance_covariance_must_be_symmetric_psd(desk_cfg, cov, match):
+    scenario = Scenario("x", [Event(9, "add_disturbance", agents=(2,),
+                                    covariance=tuple(map(tuple, cov)),
+                                    duration=5)])
+    with pytest.raises(ConfigError,
+                       match=f"disturbance covariance at k=9 {match}"):
+        scenario.check_fits(10, desk_cfg.n_agents, desk_cfg.n)
+
+
 @pytest.mark.parametrize("duration", [0, -5])
 def test_disturbance_duration_validated(desk_cfg, desk_models, small_table,
                                         duration):
