@@ -52,6 +52,10 @@ MUTANTS = [
 """, "no error reset on the schedule-only path alone"),
     (SIM, "    if schedule_only and scenario.events:\n", "    if False:\n",
      "the schedule-only path accepts a scenario with events"),
+    (SIM, "top_m(prio[:, k], M)", "top_m(raw, M)",
+     "the engine ranks raw priorities although it has a scale"),
+    (SIM, "        if np.isnan(raw).any():\n", "        if False:\n",
+     "the NaN refusal is dropped"),
     (SIM, "cross = np.matmul(C, Xhat.reshape(R, N * n, 1))",
      "cross = np.matmul(C, X.reshape(R, N * n, 1))",
      "coupling on true states instead of shared estimates"),
@@ -120,6 +124,9 @@ MUTANTS = [
     # aggregation, refusals and the CSV format
     (HARNESS, "    if seed == table.seed:", "    if False:",
      "no in-sample seed check"),
+    (HARNESS, "if not 1 <= agent <= self.n_agents:",
+     "if not 0 <= agent <= self.n_agents:",
+     "interval_rates accepts agent 0"),
     (HARNESS, "p[k_event + d:].mean(axis=0)",
      "p[k_event + d - 1:].mean(axis=0)",
      "post-event interval starts one round early"),

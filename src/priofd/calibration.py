@@ -37,8 +37,8 @@ A Fleet gives every agent the same dynamics, self gain and priority
 weight, and a SystemConfig fleet every agent the same noise and cross
 gain, so pooling its agents mixes no distributions.
 fit_quantization_scale, the raw-priority pre-pass that gives a config its
-scale, runs on the schedule-only path too; it takes a Fleet and refuses
-one whose noise covariances differ.
+scale, maps schedule-only run_lockstep chunks of scale None; it takes a
+Fleet and refuses one whose noise covariances differ.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .fd_dynamic import ThresholdTable, window_periods
 from .fd_static import window_sums
 from .harness import write_table
 from .priority import QUANT_MAX, SCALE_FIT_PERCENTILE, SCALE_HEADROOM_TARGET
-from .simulate import chunks, map_chunks, run_lockstep
+from .simulate import map_chunks, run_lockstep
 # perfbench wraps run_single here; a benchmark-only change moves that to run_lockstep
 from .simulate import run_single  # noqa: F401
 
@@ -295,24 +295,22 @@ def fit_quantization_scale(models: Fleet, m: int, runs: int, run_length: int,
     """Deployment quantization scale from a raw-priority pre-pass.
 
     Scheduling normally consumes quantized priorities, which requires the
-    scale being fitted here. The pre-pass schedules on raw priorities (the
-    fine-quantization limit; the quantizer is monotone, so selection only
-    differs through ties) and maps the fitted percentile to just below the
-    headroom target.
+    scale being fitted here. The pre-pass runs with scale None, so it
+    schedules on raw priorities (the fine-quantization limit; the quantizer
+    is monotone, so selection only differs through ties), and maps the
+    fitted percentile to just below the headroom target.
     """
     if (models.noise_cov != models.noise_cov[0]).any():
         raise CalibrationError("agents have distinct noise covariances; the "
                                "scale fit pools their raw priorities")
     if runs < 1:
         raise CalibrationError(f"the scale fit needs runs >= 1, got {runs}")
-    # filled run by run, so that no chunk's arrays outlive the chunk
-    samples = np.empty((runs, run_length - warmup_discard, len(models)))
-    for chunk in chunks(runs, run_length * len(models)):
-        for run, trace in zip(chunk, run_lockstep(
-                models, m, 1.0, run_length, seed, chunk, select_on_raw=True,
-                schedule_only=True)):
-            samples[run] = trace.raw_priorities[warmup_discard:]
-    samples = samples.ravel()
+    worker = partial(run_lockstep, models, m, None, run_length, seed,
+                     schedule_only=True)
+    samples = np.concatenate([
+        tr.priorities[warmup_discard:].ravel()
+        for traces in map_chunks(worker, runs, run_length * len(models))
+        for tr in traces])
     samples.sort()
     p = float(samples[_rank(SCALE_FIT_PERCENTILE, samples.size) - 1])
     if p <= 0:

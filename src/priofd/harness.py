@@ -66,8 +66,10 @@ class AggregateReport:
     state_std: np.ndarray       # (T,)
 
     def interval_rates(self, detector: str, agent: int) -> tuple[float, float]:
-        """(pre, post) of a 1-based agent; ValueError if not in DETECTORS."""
+        """(pre, post) of agent 1..N; ValueError outside DETECTORS or 1..N."""
         j = DETECTORS.index(detector)
+        if not 1 <= agent <= self.n_agents:
+            raise ValueError(f"agent {agent} is not in 1..{self.n_agents}")
         return float(self.pre[agent - 1, j]), float(self.post[agent - 1, j])
 
 

@@ -1,9 +1,9 @@
 """Communication priority quantization.
 
 Priorities computed in round k decide who transmits in round k+2, so the
-triggering scores the error predicted two rounds ahead
-(RunTrace.raw_priorities, computed by simulate.run_lockstep). With the default identity weight the
-raw priority equals ||Atilde^2 e(k)||^2, the quadratic form of the current
+triggering scores the error predicted two rounds ahead (a RunTrace run
+with scale None keeps them). With the default identity weight the raw
+priority equals ||Atilde^2 e(k)||^2, the quadratic form of the current
 error under ((A+BF_ii)')^2 (A+BF_ii)^2.
 
 The 8-bit wire value is a saturating floor quantizer; the scale is a

@@ -26,7 +26,9 @@ schedule only on the priorities, so with schedule_only a fault-free chunk
 runs only the priorities, the selection and the error update, and its
 traces carry states and errors None; calibrate and the scale fit take
 that path. It refuses any scenario event: a mutated plant needs the
-estimates.
+estimates. A trace keeps the priorities its schedule ranked: quantized
+given a scale, raw with scale None (the scale fit's pass). A NaN raw
+priority, from a state past the float64 range, is refused, not cast to 0.
 
 Scenario events (scenarios.Event) take effect at the start of their round:
 a bandwidth change sets M for that round's selection, and each disturbance
@@ -79,8 +81,7 @@ class RunTrace:
     """Everything one run leaves behind, indexed [k, agent-1]; noise row k
     is the vector injected in the k -> k+1 transition."""
     gamma: np.ndarray            # (T, N) bool
-    priorities: np.ndarray       # (T, N) int16, quantized
-    raw_priorities: np.ndarray   # (T, N) float64
+    priorities: np.ndarray       # (T, N) int16, or float64 raw if no scale
     states: np.ndarray | None    # (T, N, n) true states x(k)
     errors: np.ndarray | None    # (T, N, n) estimation errors e(k)
     noise: np.ndarray            # (T, N, n) process noise
@@ -120,21 +121,21 @@ def _pool_map(worker: Callable[[range], T], parts: list[range],
         yield from pool.map(worker, parts)
 
 
-def run_single(models: Fleet, m: int, scale: float, rounds: int, seed: int,
-               run: int, scenario: Scenario | None = None,
-               select_on_raw: bool = False) -> RunTrace:
+def run_single(models: Fleet, m: int, scale: float | None, rounds: int,
+               seed: int, run: int,
+               scenario: Scenario | None = None) -> RunTrace:
     """Simulate one run; a pure function of its arguments."""
     return run_lockstep(models, m, scale, rounds, seed, range(run, run + 1),
-                        scenario, select_on_raw)[0]
+                        scenario)[0]
 
 
-def run_lockstep(models: Fleet, m: int, scale: float, rounds: int, seed: int,
-                 runs: Sequence[int], scenario: Scenario | None = None,
-                 select_on_raw: bool = False,
+def run_lockstep(models: Fleet, m: int, scale: float | None, rounds: int,
+                 seed: int, runs: Sequence[int],
+                 scenario: Scenario | None = None,
                  schedule_only: bool = False) -> list[RunTrace]:
     """Simulate the given runs in lockstep; trace r is run_single of
-    runs[r]. Selection uses the quantized priorities, or the raw ones with
-    select_on_raw; schedule_only skips the estimates (module docstring)."""
+    runs[r]. Selection ranks the quantized priorities, or the raw ones if
+    scale is None; schedule_only skips the estimates (module docstring)."""
     if m <= 0:
         raise ConfigError(f"bandwidth M must be positive, got {m}")
     N, R, (n, nb) = len(models), len(runs), models.B.shape
@@ -157,8 +158,7 @@ def run_lockstep(models: Fleet, m: int, scale: float, rounds: int, seed: int,
             noise[r, :, i] = draw_noise_block(
                 chol, noise_stream(seed, run, i + 1, PROCESS_NOISE), rounds)
     gamma = np.zeros((R, rounds + 2, N), dtype=bool)  # winners land 2 rows ahead
-    q = np.zeros((R, rounds, N), dtype=np.int16)
-    raw = np.zeros((R, rounds, N))
+    prio = np.zeros((R, rounds, N), dtype=float if scale is None else np.int16)
     states = errors = [None] * R   # stored only with the estimates
     if not schedule_only:
         states, errors = np.zeros((R, rounds, N, n)), np.zeros((R, rounds, N, n))
@@ -190,10 +190,13 @@ def run_lockstep(models: Fleet, m: int, scale: float, rounds: int, seed: int,
                 matched[i] = False
 
         e_pred = np.einsum("jk,rik->rij", P2, E)
-        raw[:, k] = np.einsum("rij,jk,rik->ri", e_pred, W, e_pred)
-        q[:, k] = quantize_batch(raw[:, k], scale)
-        key = raw[:, k] if select_on_raw else q[:, k]
-        gamma[rows, k + 2, top_m(key, M)] = True
+        raw = np.einsum("rij,jk,rik->ri", e_pred, W, e_pred)
+        if np.isnan(raw).any():
+            r, i = np.argwhere(np.isnan(raw))[0]
+            raise ConfigError(f"run {runs[r]}, agent {i + 1}: priority NaN at "
+                              f"round {k}; its state has left the float64 range")
+        prio[:, k] = raw if scale is None else quantize_batch(raw, scale)
+        gamma[rows, k + 2, top_m(prio[:, k], M)] = True
 
         sent, v = gamma[:, k], noise[:, k]
         e_next = np.einsum("jk,rik->rij", P1, E) + v
@@ -231,5 +234,5 @@ def run_lockstep(models: Fleet, m: int, scale: float, rounds: int, seed: int,
             e_next[:, plant] = x_next - xhat_next[:, plant]
         Xhat, E = xhat_next, e_next
 
-    return [RunTrace(gamma[r, :rounds], q[r], raw[r], states[r], errors[r],
+    return [RunTrace(gamma[r, :rounds], prio[r], states[r], errors[r],
                      noise[r]) for r in range(R)]

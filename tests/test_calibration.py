@@ -14,10 +14,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from priofd.calibration import (CalibrationConfig, SampleBank, calibrate,
                                 dfd_entries, fit_quantization_scale,
                                 nearest_rank, write_calibration_report)
+from priofd.config import SystemConfig
 from priofd.errors import CalibrationError, ConfigError
-from priofd.priority import QUANT_MAX, SCALE_FIT_PERCENTILE, quantize_batch
+from priofd.priority import (QUANT_MAX, SCALE_FIT_PERCENTILE,
+                             SCALE_HEADROOM_TARGET, quantize_batch)
+from priofd.simulate import chunks, run_single
 
 from oracles import ExactToy, ToyLaw, brute_window_periods
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def hist_of(samples, top=2551):
@@ -363,6 +368,14 @@ class TestDfdEntries:
             for (t1, t2, a), vals in sorted(samples.items()) if vals]
 
 
+def raw_pool(models, m, runs, rounds, seed, warmup):
+    """The sorted raw priorities at rounds >= warmup of run_single with
+    scale None, pooled over runs 0..runs-1."""
+    return np.sort(np.concatenate([
+        run_single(models, m, None, rounds, seed=seed, run=r)
+        .priorities[warmup:].ravel() for r in range(runs)]))
+
+
 class TestScaleFit:
     def test_deterministic_and_headroom(self, desk_cfg, desk_models):
         s1 = fit_quantization_scale(desk_models, desk_cfg.bandwidth, runs=30,
@@ -371,15 +384,25 @@ class TestScaleFit:
                                     run_length=200, seed=5, warmup_discard=50)
         assert s1 == s2 > 0
         # the fitted percentile itself lands at the headroom target
-        from priofd.simulate import run_single
-        pool = []
-        for r in range(30):
-            tr = run_single(desk_models, desk_cfg.bandwidth, scale=1.0,
-                            rounds=200, seed=5, run=r, select_on_raw=True)
-            pool.append(tr.raw_priorities[50:].ravel())
-        samples = np.sort(np.concatenate(pool))
+        samples = raw_pool(desk_models, desk_cfg.bandwidth, 30, 200, 5, 50)
         p999 = samples[int(np.ceil(SCALE_FIT_PERCENTILE * samples.size)) - 1]
         assert quantize_batch(p999, s1) in (199, 200)
+
+    def test_fit_across_chunks(self):
+        # 40 full-scale runs are three chunks of at most 19; the fit pools
+        # all of them and sets the scale from their nearest rank
+        cfg = SystemConfig.load(CONFIGS / "cartpole_full.json")
+        runs, models = 40, cfg.models()
+        assert len(chunks(runs, cfg.rounds * cfg.n_agents)) >= 3
+        scale = fit_quantization_scale(models, cfg.bandwidth, runs=runs,
+                                       run_length=cfg.rounds, seed=3,
+                                       warmup_discard=cfg.warmup_discard)
+        samples = raw_pool(models, cfg.bandwidth, runs, cfg.rounds, 3,
+                           cfg.warmup_discard)
+        assert samples.size == runs * (cfg.rounds - cfg.warmup_discard) \
+            * cfg.n_agents
+        p = samples[int(np.ceil(SCALE_FIT_PERCENTILE * samples.size)) - 1]
+        assert scale == p / SCALE_HEADROOM_TARGET
 
     def test_no_runs_refused(self, desk_models):
         with pytest.raises(CalibrationError, match="runs >= 1, got 0"):

@@ -294,6 +294,11 @@ def test_hand_computed_aggregate_bytes(tmp_path, desk_cfg):
     for name in ("sFD", "DFD", "both", ""):
         with pytest.raises(ValueError):
             event.interval_rates(name, 1)
+    # agents are 1-based: 0 is not the last agent, and N+1 is refused too
+    assert event.interval_rates("sfd", 2) != event.interval_rates("sfd", 1)
+    for agent in (0, -1, agents + 1):
+        with pytest.raises(ValueError, match=f"agent {agent} is not in 1..2"):
+            event.interval_rates("sfd", agent)
 
 
 def test_empty_delay_table_is_header_only(tmp_path, desk_cfg, small_table):

@@ -144,14 +144,14 @@ class TestRoundPipeline:
             got = tuple(np.flatnonzero(trace.gamma[k]) + 1)
             assert set(got) == set(expect)
 
-    def test_select_on_raw_ranks_raw_priorities(self, desk_cfg, desk_models):
-        # a scale this coarse quantizes every priority to 0, so only the raw
-        # ranking can spread the slots over the fleet
-        trace = run_single(desk_models, desk_cfg.bandwidth, 1e9, 60, seed=9,
-                           run=0, select_on_raw=True)
-        assert not trace.priorities.any()
+    def test_no_scale_ranks_the_raw_values(self, desk_cfg, desk_models):
+        # with scale None the trace keeps the float priorities it ranked;
+        # they spread the slots over the fleet, past the two lowest ids
+        trace = run_single(desk_models, desk_cfg.bandwidth, None, 60, seed=9,
+                           run=0)
+        assert trace.priorities.dtype == np.float64
         for k in range(2, 60):
-            expect = ref_senders(trace.raw_priorities[k - 2].tolist(),
+            expect = ref_senders(trace.priorities[k - 2].tolist(),
                                  desk_cfg.bandwidth)
             assert set(np.flatnonzero(trace.gamma[k]) + 1) == set(expect)
         assert trace.gamma[2:, 2:].any()

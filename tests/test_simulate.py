@@ -1,7 +1,8 @@
 """The lockstep round engine: a run's trace is the same whatever chunk it
 is simulated in, every round of a chunk matches the agent-by-agent oracle,
-the schedule-only path gives the same schedule as the full engine, and the
-integer schedule of a fixed seed is pinned.
+the schedule-only path gives the same schedule as the full engine, a run
+without a scale keeps the raw priorities it ranked, and the integer
+schedule of a fixed seed is pinned.
 
 Only integer arrays are pinned: float bits can differ across BLAS builds,
 while the chunk-size comparisons below run on one build and compare every
@@ -17,11 +18,11 @@ import pytest
 from priofd.config import SystemConfig
 from priofd.dynamics import Fleet
 from priofd.errors import ConfigError
-from priofd.scenarios import PRESETS, Event, Scenario
+from priofd.scenarios import PRESETS, Event, Scenario, actuator_failure
 from priofd.simulate import (CHUNK_CELLS, RunTrace, chunks, run_lockstep,
                              run_single)
 
-from oracles import ref_replay
+from oracles import ref_quantize, ref_replay
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DESK = SystemConfig.load(CONFIGS / "cartpole_desk.json")
@@ -67,12 +68,12 @@ PINNED = {
 }
 
 
-def lockstep(runs, scenario=None, select_on_raw=False, fleet=None,
+def lockstep(runs, scenario=None, raw=False, fleet=None,
              schedule_only=False, cfg=DESK):
+    """Seed 7 runs of cfg; raw runs them with scale None."""
     return run_lockstep(fleet or cfg.models(), cfg.bandwidth,
-                        cfg.quant_scale, cfg.rounds, 7, runs,
-                        scenario=scenario, select_on_raw=select_on_raw,
-                        schedule_only=schedule_only)
+                        None if raw else cfg.quant_scale, cfg.rounds, 7, runs,
+                        scenario=scenario, schedule_only=schedule_only)
 
 
 def same_bits(a: RunTrace, b: RunTrace) -> bool:
@@ -100,9 +101,9 @@ def test_chunk_size_invariance(case):
         for run, trace in zip(runs, traces):
             assert same_bits(trace, ref[run]), (case, len(runs), run)
             assert all(getattr(trace, f).flags.c_contiguous for f in FIELDS)
-    single = run_single(DESK.models(), DESK.bandwidth, DESK.quant_scale,
-                        DESK.rounds, 7, 40, scenario=scenario,
-                        select_on_raw=on_raw)
+    single = run_single(DESK.models(), DESK.bandwidth,
+                        None if on_raw else DESK.quant_scale, DESK.rounds, 7,
+                        40, scenario=scenario)
     assert same_bits(single, ref[40])
     assert single.gamma.shape == (DESK.rounds, DESK.n_agents)
     assert single.states.shape == (DESK.rounds, DESK.n_agents, DESK.n)
@@ -128,15 +129,48 @@ def test_schedule_only_matches_full_engine(cfg, on_raw):
     # estimates and stores neither states nor errors, yet every schedule
     # array is the same bit for bit
     runs = range(CHUNK_CELLS // (cfg.rounds * cfg.n_agents))
-    full = lockstep(runs, select_on_raw=on_raw, cfg=cfg)
-    lean = lockstep(runs, select_on_raw=on_raw, schedule_only=True, cfg=cfg)
+    full = lockstep(runs, raw=on_raw, cfg=cfg)
+    lean = lockstep(runs, raw=on_raw, schedule_only=True, cfg=cfg)
     assert len(lean) == len(full) == len(runs) > 1
     for a, b in zip(full, lean):
         assert b.states is None and b.errors is None
-        for f in ("gamma", "priorities", "raw_priorities", "noise"):
+        assert b.priorities.dtype == (np.float64 if on_raw else np.int16)
+        for f in ("gamma", "priorities", "noise"):
             got, want = getattr(b, f), getattr(a, f)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), f
+
+
+def test_raw_and_quantized_views_of_one_run():
+    # with M = N every agent sends in every round from 2 on, whatever its
+    # priority, so a run with scale None and one with the config's scale
+    # share their schedule and errors: the first keeps the raw priorities
+    # it ranked, the second their quantized values
+    wide = dataclasses.replace(DESK, bandwidth=DESK.n_agents)
+    raw, quantized = (lockstep(range(3, 6), raw=on_raw, cfg=wide)
+                      for on_raw in (True, False))
+    for a, b in zip(raw, quantized):
+        for f in ("gamma", "states", "errors", "noise"):
+            assert np.array_equal(getattr(a, f), getattr(b, f)), f
+        assert a.priorities.dtype == np.float64
+        assert b.priorities.dtype == np.int16
+        assert b.priorities.ravel().tolist() == [
+            ref_quantize(r, DESK.quant_scale) for r in a.priorities.ravel()]
+        assert a.priorities.any() and b.priorities.any()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("scale", [None, DESK.quant_scale],
+                         ids=["raw", "quantized"])
+def test_nan_priority_refused(scale):
+    # agent 2's failed cart-pole grows until its state leaves the float64
+    # range: its raw priority is +inf from round 865, which quantizes to
+    # 255, and NaN from round 1626, which a cast would broadcast as 0
+    with pytest.raises(ConfigError, match="run 0, agent 2: priority NaN at "
+                       "round 1626; its state has left the float64 range"):
+        run_single(DESK.models(), DESK.bandwidth, scale, 1700, seed=5, run=0,
+                   scenario=actuator_failure((2,), 100))
 
 
 def test_schedule_only_pinned():
