@@ -43,24 +43,28 @@ SCN = "src/priofd/scenarios.py"
 
 MUTANTS = [
     # the round engine
-    (SIM, "        e_next[sent] = v[sent]\n", "",
+    (SIM, "            np.copyto(e_next, v, where=sent[..., None])\n", "",
      "no error reset after a received round"),
-    (SIM, """        if schedule_only:
-            E = e_next
-""", """        if schedule_only:
-            E = np.einsum("jk,rik->rij", P1, E) + v
+    (SIM, """            if schedule_only:
+                E = e_next
+""", """            if schedule_only:
+                E = np.einsum("jk,rik->rij", P1, E) + v
 """, "no error reset on the schedule-only path alone"),
     (SIM, "    if schedule_only and scenario.events:\n", "    if False:\n",
      "the schedule-only path accepts a scenario with events"),
-    (SIM, "top_m(prio[:, k], M)", "top_m(raw, M)",
+    (SIM, "top_m(prio[:, k0 + lo:k0 + hi], ms[lo])",
+     "top_m(raw[:, lo:hi], ms[lo])",
      "the engine ranks raw priorities although it has a scale"),
+    (SIM, "split = [0, p] if ms[0] == ms[-1] else [0, 1, 2]",
+     "split = [0, p]",
+     "a pair elects both rounds with the first round's M"),
     (SIM, "        if np.isnan(raw).any():\n", "        if False:\n",
      "the NaN refusal is dropped"),
     (SIM, "cross = np.matmul(C, Xhat.reshape(R, N * n, 1))",
      "cross = np.matmul(C, X.reshape(R, N * n, 1))",
      "coupling on true states instead of shared estimates"),
-    (SIM, 'e_pred = np.einsum("jk,rik->rij", P2, E)',
-     'e_pred = np.einsum("jk,rik->rij", P1, E)',
+    (SIM, 'e_pred = np.einsum("jk,rik->rij", P2,',
+     'e_pred = np.einsum("jk,rik->rij", P1,',
      "one-step priority prediction"),
     (SIM, 'ubase = np.einsum("mn,rin->rim", Fself, base) + cross',
      'ubase = np.einsum("mn,rin->rim", Fself, Xhat) + cross',
@@ -76,25 +80,27 @@ MUTANTS = [
      "                models.noise_chol[0],"
      " noise_stream(seed, run, i + 1, PROCESS_NOISE)",
      "every agent's noise drawn with agent 1's covariance"),
-    (SIM, """                      + np.einsum("mn,rin->rim", B, u)
-                      * actuated[plant, None])""",
-     """                      + np.einsum("mn,rin->rim", B, u))""",
+    (SIM, """                          + np.einsum("mn,rin->rim", B, u)
+                          * actuated[plant, None])""",
+     """                          + np.einsum("mn,rin->rim", B, u))""",
      "a failed actuator still drives its plant"),
     (DYN, "        if bad.size:\n", "        if False:\n",
      "the fleet accepts a gain of an agent on its own estimate"),
     # retired: agent 1's matrices run for a fleet whose agents differ; a
     # Fleet holds one A, B, F_self and priority weight, so no fleet differs
-    (NET, 'np.argsort(-p, axis=-1, kind="stable")',
-     'p.shape[-1] - 1 - np.argsort(-p[..., ::-1], axis=-1, kind="stable")',
+    (NET, 'np.argsort(key, axis=-1, kind="stable")',
+     'p.shape[-1] - 1 - np.argsort(key[..., ::-1], axis=-1, kind="stable")',
      "selection ties broken to the higher id"),
     # the batch period kernel
-    (FD, "np.minimum(ws - pad[lo - 1], b + 1)", "np.minimum(ws - pad[lo - 1], b)",
+    (FD, "np.minimum(ws - prev, b + 1)", "np.minimum(ws - prev, b)",
      "kernel: first-period T1 capped at b"),
+    (FD, "np.where(prev >= base,", "np.where(prev >= 0,",
+     "kernel: first-period T1 ignores the column boundary"),
     (FD, "(j == h_count[w] - 1).astype(np.int64)", "(j == 0).astype(np.int64)",
      "kernel: flag a on the first period instead of the last"),
     (FD, "cq[end + 1] - cq[start])", "cq[end] - cq[start])",
      "kernel: period sums leave out their last round"),
-    (FD, "h_count = n_comm + ~g[ks]", "h_count = n_comm + 1",
+    (FD, "h_count = n_comm + ~g[kf]", "h_count = n_comm + 1",
      "kernel: a trailing silent period after a communicating round"),
     # the online path
     (NET, "bisect_right(comms, hi)]", "bisect_left(comms, hi)]",

@@ -158,18 +158,14 @@ class SampleBank:
 
     def add_trace(self, gamma: np.ndarray, priorities: np.ndarray,
                   start_k: int) -> None:
-        """Collect every window sum and period sum at rounds >= start_k."""
+        """Collect every window sum and period sum at rounds >= start_k of
+        every agent (column) of one run, from one layout of its periods."""
         d, b = self.d, self.b
         start_k = max(start_k, d - 1)
-        agents = range(gamma.shape[1])
-        windows = [window_sums(priorities[:, i], d)[start_k - (d - 1):]
-                   for i in agents]
-        _, t1, t2, _, a, s = zip(*(window_periods(
-            gamma[:, i], priorities[:, i], d, b, start_k) for i in agents))
-        t1, t2, a, s = map(np.concatenate, (t1, t2, a, s))
+        windows = window_sums(priorities, d)[start_k - (d - 1):]
+        _, t1, t2, _, a, s = window_periods(gamma, priorities, d, b, start_k)
         tab = t2 <= b
-        self.add_sums(np.concatenate(windows), t1[tab], t2[tab], a[tab],
-                      s[tab])
+        self.add_sums(windows.ravel(), t1[tab], t2[tab], a[tab], s[tab])
 
     def merge(self, other: SampleBank) -> SampleBank:
         """Add `other`'s samples to this bank, row by row of each cell;

@@ -23,8 +23,10 @@ builds its Period tuples from those; dfd_evaluate walks them in one pass
 with no per-period objects, taking each period's sum from one prefix list
 of the window's priorities and its threshold as a Python float.
 The batch kernel window_periods lays out every period of every window of a
-recorded run as flat arrays for calibration (SampleBank.add_trace) and
-replay (dfd_verdicts).
+recorded (T,) or (T, C) run as flat arrays, column (agent) after column,
+in one pass; a window's first period looks back for its T1 only within
+its own column. Calibration (SampleBank.add_trace) lays out all agents of
+a run in one call, replay (dfd_verdicts) one agent at a time.
 
 Table file format "PFDT" v1 (little endian):
 
@@ -100,28 +102,39 @@ def partition_window(history: ScheduleHistory, k: int, d: int, b: int) -> list[P
 
 def window_periods(gamma: np.ndarray, q: np.ndarray, d: int, b: int,
                    start_k: int) -> tuple[np.ndarray, ...]:
-    """Every period of every window [k-d+1, k] with k >= start_k of one
-    agent's full run, as flat int64 arrays (k, T1, T2, H, a, sum). Rows are
-    ordered by k, then by period index within the window."""
+    """Every period of every window [k-d+1, k] with k >= start_k of every
+    column (agent) of a (T,) or (T, C) run, as flat int64 arrays (k, T1,
+    T2, H, a, sum). Rows are ordered by column, then by k, then by period
+    index within the window, so the rows of a (T, C) run are those of its
+    C columns concatenated."""
     g = np.asarray(gamma, dtype=bool)
-    ks = np.arange(max(start_k, d - 1), g.shape[0])
-    ws = ks - d + 1
+    rounds, cols = g.shape[0], 1 if g.ndim == 1 else g.shape[1]
+    # the columns laid end to end: a window ends at flat round kf of the
+    # column that starts at flat round base, and sees only that column
+    g, q = g.T.ravel(), np.asarray(q).T.ravel()
+    col_ks = np.arange(max(start_k, d - 1), rounds)
+    ks = np.tile(col_ks, cols)
+    base = np.repeat(np.arange(cols) * rounds, col_ks.size)
+    kf = base + ks
+    ws = kf - d + 1
     comms = np.flatnonzero(g)
-    pad = np.append(comms, 0)                 # lo + j may run one past the end
+    pad = np.append(comms, -1)                # lo + j may run one past the end
     lo = np.searchsorted(comms, ws)
-    n_comm = np.searchsorted(comms, ks, side="right") - lo
-    h_count = n_comm + ~g[ks]                 # trailing silent period
+    n_comm = np.searchsorted(comms, kf, side="right") - lo
+    h_count = n_comm + ~g[kf]                 # trailing silent period
     first = np.cumsum(h_count) - h_count      # row of each window's period 1
-    w = np.repeat(np.arange(ks.size), h_count)
+    w = np.repeat(np.arange(kf.size), h_count)
     j = np.arange(w.size) - first[w]          # 0-based period index
-    end = np.where(j < n_comm[w], pad[lo[w] + j], ks[w])
+    end = np.where(j < n_comm[w], pad[lo[w] + j], kf[w])
     start = np.empty_like(end)
     start[1:] = end[:-1] + 1
     start[first] = ws
-    # the first period counts from the last communication before the window,
-    # capped at b+1; every later period starts right after one
+    # the first period counts from the last communication of its column
+    # before the window (pad[-1] = -1 if none), capped at b+1; every later
+    # period starts right after one
     t1 = np.ones_like(end)
-    t1[first] = np.where(lo > 0, np.minimum(ws - pad[lo - 1], b + 1), b + 1)
+    prev = pad[lo - 1]
+    t1[first] = np.where(prev >= base, np.minimum(ws - prev, b + 1), b + 1)
     cq = np.concatenate(([0], np.cumsum(q, dtype=np.int64)))
     return (ks[w], t1, t1 + end - start, h_count[w],
             (j == h_count[w] - 1).astype(np.int64), cq[end + 1] - cq[start])

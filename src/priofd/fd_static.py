@@ -49,9 +49,8 @@ def sfd_verdicts(priorities: np.ndarray, kappa: float, d: int) -> np.ndarray:
 
 
 def window_sums(priorities: np.ndarray, d: int) -> np.ndarray:
-    """Sums over [k-d+1, k] for k = d-1 .. T-1 (length T-d+1)."""
+    """Sums over [k-d+1, k] for k = d-1 .. T-1 (length T-d+1) of a (T,)
+    run, or of every column of a (T, C) one."""
     q = np.asarray(priorities, dtype=np.int64)
-    if q.shape[0] < d:
-        return np.zeros(0, dtype=np.int64)
-    c = np.concatenate(([0], np.cumsum(q)))
-    return c[d:] - c[:-d]
+    c = np.concatenate((np.zeros_like(q[:1]), np.cumsum(q, axis=0)))
+    return c[d:] - c[:-d]      # empty if T < d

@@ -60,4 +60,7 @@ def top_m(priorities: np.ndarray, m: int) -> np.ndarray:
     if m <= 0:
         raise ConfigError(f"bandwidth M must be positive, got {m}")
     p = np.asarray(priorities)
-    return np.argsort(-p, axis=-1, kind="stable")[..., :min(m, p.shape[-1])]
+    # a stable sort has one result whatever its algorithm; numpy's radix
+    # sort of 16-bit keys is several times slower on rows of a few agents
+    key = np.negative(p, dtype=np.result_type(p, np.int32))
+    return np.argsort(key, axis=-1, kind="stable")[..., :min(m, p.shape[-1])]

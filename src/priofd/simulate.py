@@ -36,8 +36,18 @@ event restarts its agent's (seed, run, agent, DISTURBANCE_NOISE) stream.
 The round in which a disturbance expires still takes the explicit-plant
 path.
 
+The engine takes the rounds in pairs. The senders of rounds k and k+1
+were elected at k-2 and k-1, before the pair, and a round's error and
+state step reads its senders and noise but never its own priorities. So
+rounds k and k+1 step first, and then both rounds' priorities are
+predicted, checked for NaN, quantized and ranked in one stacked pass that
+elects the senders of k+2 and k+3: one top_m call, or one per round when
+a set_bandwidth event gives the two rounds different M. Each priority is
+the same per-vector product as in a round-by-round loop, so the traces
+are the same bit for bit.
+
 run_lockstep advances a chunk of R runs in one (R, N, n) state with one
-round loop; run_single is the chunk of one run. The fleet (dynamics.Fleet)
+round-pair loop; run_single is the chunk of one run. The fleet (dynamics.Fleet)
 is one shared model: every agent has the same A, B, F_self and priority
 weight, and only noise covariances and cross gains differ, so each product
 is one shared matrix applied to every (run, agent) vector, an einsum such
@@ -166,73 +176,94 @@ def run_lockstep(models: Fleet, m: int, scale: float | None, rounds: int,
     E = np.zeros((R, N, n))
     actuated = np.ones(N, dtype=bool)   # cleared by set_B_zero
     matched = np.ones(N, dtype=bool)
-    disturbances: dict[int, tuple] = {}  # index -> (chol, k0, until_k, draws)
+    # index -> (chol, k_on, until_k, draws)
+    disturbances: dict[int, tuple] = {}
     M = m
-    rows = np.arange(R)[:, None]
 
-    for k in range(rounds):
-        for ev in events.get(k, ()):
-            if ev.kind == "set_bandwidth":
-                M = ev.bandwidth
-                continue
-            for agent in ev.agents:
-                i = agent - 1
-                if ev.kind == "set_B_zero":
-                    actuated[i] = False
-                else:  # add_disturbance: all its draws, one block per run
-                    chol = _psd_factor(np.array(ev.covariance, dtype=float),
-                                       "disturbance covariance")
-                    size = (min(ev.duration, rounds - k), n)
-                    draws = np.array([noise_stream(
-                        seed, run, agent, DISTURBANCE_NOISE).standard_normal(size)
-                        for run in runs]).reshape(R, *size)
-                    disturbances[i] = (chol, k, k + ev.duration, draws)
-                matched[i] = False
-
-        e_pred = np.einsum("jk,rik->rij", P2, E)
-        raw = np.einsum("rij,jk,rik->ri", e_pred, W, e_pred)
-        if np.isnan(raw).any():
-            r, i = np.argwhere(np.isnan(raw))[0]
-            raise ConfigError(f"run {runs[r]}, agent {i + 1}: priority NaN at "
-                              f"round {k}; its state has left the float64 range")
-        prio[:, k] = raw if scale is None else quantize_batch(raw, scale)
-        gamma[rows, k + 2, top_m(prio[:, k], M)] = True
-
-        sent, v = gamma[:, k], noise[:, k]
-        e_next = np.einsum("jk,rik->rij", P1, E) + v
-        e_next[sent] = v[sent]
-        if schedule_only:
-            E = e_next
-            continue
-
-        # the estimate advances on the control of its base (a sender's true
-        # state, else itself), a mutated plant below on that of its true state
-        X = Xhat + E
-        states[:, k] = X
-        errors[:, k] = E
-        cross = np.matmul(C, Xhat.reshape(R, N * n, 1)).reshape(R, N, nb)
-        base = np.where(sent[..., None], X, Xhat)
-        ubase = np.einsum("mn,rin->rim", Fself, base) + cross
-        xhat_next = (np.einsum("jk,rik->rij", A, base)
-                     + np.einsum("mn,rin->rim", B, ubase))
-        plant = np.flatnonzero(~matched)
-        if plant.size:
-            u = np.einsum("mn,rin->rim", Fself, X[:, plant]) + cross[:, plant]
-            x_next = (np.matmul(A, X[:, plant, :, None])[..., 0]
-                      + np.einsum("mn,rin->rim", B, u)
-                      * actuated[plant, None])
-            x_next += v[:, plant]
-            for j, i in enumerate(plant):
-                if i not in disturbances:
+    # rounds k0 and k0+1 step on senders elected before them; then both
+    # rounds' priorities elect the senders of k0+2 and k0+3 in one pass
+    for k0 in range(0, rounds, 2):
+        pair = range(k0, min(k0 + 2, rounds))
+        es, ms = [], []   # the errors and the M of each round of the pair
+        for k in pair:
+            for ev in events.get(k, ()):
+                if ev.kind == "set_bandwidth":
+                    M = ev.bandwidth
                     continue
-                chol, k0, until_k, draws = disturbances[i]
-                if k < until_k:
-                    x_next[:, j] += np.matmul(chol, draws[:, k - k0, :, None])[..., 0]
-                else:
-                    del disturbances[i]
-                    matched[i] = actuated[i]
-            e_next[:, plant] = x_next - xhat_next[:, plant]
-        Xhat, E = xhat_next, e_next
+                for agent in ev.agents:
+                    i = agent - 1
+                    if ev.kind == "set_B_zero":
+                        actuated[i] = False
+                    else:  # add_disturbance: all its draws, one block per run
+                        chol = _psd_factor(
+                            np.array(ev.covariance, dtype=float),
+                            "disturbance covariance")
+                        size = (min(ev.duration, rounds - k), n)
+                        draws = np.array([
+                            noise_stream(seed, run, agent, DISTURBANCE_NOISE)
+                            .standard_normal(size) for run in runs
+                        ]).reshape(R, *size)
+                        disturbances[i] = (chol, k, k + ev.duration, draws)
+                    matched[i] = False
+            es.append(E)
+            ms.append(M)
+
+            sent, v = gamma[:, k], noise[:, k]
+            e_next = np.einsum("jk,rik->rij", P1, E) + v
+            np.copyto(e_next, v, where=sent[..., None])
+            if schedule_only:
+                E = e_next
+                continue
+
+            # the estimate advances on the control of its base (a sender's
+            # true state, else itself), a mutated plant below on that of its
+            # true state
+            X = Xhat + E
+            states[:, k] = X
+            errors[:, k] = E
+            cross = np.matmul(C, Xhat.reshape(R, N * n, 1)).reshape(R, N, nb)
+            base = np.where(sent[..., None], X, Xhat)
+            ubase = np.einsum("mn,rin->rim", Fself, base) + cross
+            xhat_next = (np.einsum("jk,rik->rij", A, base)
+                         + np.einsum("mn,rin->rim", B, ubase))
+            plant = np.flatnonzero(~matched)
+            if plant.size:
+                u = (np.einsum("mn,rin->rim", Fself, X[:, plant])
+                     + cross[:, plant])
+                x_next = (np.matmul(A, X[:, plant, :, None])[..., 0]
+                          + np.einsum("mn,rin->rim", B, u)
+                          * actuated[plant, None])
+                x_next += v[:, plant]
+                for j, i in enumerate(plant):
+                    if i not in disturbances:
+                        continue
+                    chol, k_on, until_k, draws = disturbances[i]
+                    if k < until_k:
+                        x_next[:, j] += np.matmul(
+                            chol, draws[:, k - k_on, :, None])[..., 0]
+                    else:
+                        del disturbances[i]
+                        matched[i] = actuated[i]
+                e_next[:, plant] = x_next - xhat_next[:, plant]
+            Xhat, E = xhat_next, e_next
+
+        p = len(pair)
+        e_pred = np.einsum("jk,rik->rij", P2,
+                           np.stack(es, axis=1).reshape(R * p, N, n))
+        raw = np.einsum("rij,jk,rik->ri", e_pred, W, e_pred).reshape(R, p, N)
+        if np.isnan(raw).any():
+            dk, r, i = np.argwhere(np.isnan(raw).swapaxes(0, 1))[0]
+            raise ConfigError(f"run {runs[r]}, agent {i + 1}: priority NaN at "
+                              f"round {k0 + dk}; its state has left the "
+                              "float64 range")
+        prio[:, k0:k0 + p] = (raw if scale is None
+                              else quantize_batch(raw, scale))
+        # one election for the pair, or one per round if M changed within it
+        split = [0, p] if ms[0] == ms[-1] else [0, 1, 2]
+        for lo, hi in zip(split, split[1:]):
+            np.put_along_axis(gamma[:, k0 + lo + 2:k0 + hi + 2],
+                              top_m(prio[:, k0 + lo:k0 + hi], ms[lo]), True,
+                              axis=-1)
 
     return [RunTrace(gamma[r, :rounds], prio[r], states[r], errors[r],
                      noise[r]) for r in range(R)]

@@ -148,6 +148,21 @@ class TestAddTraceOracle:
         gamma, q = random_trace(rng, rounds, density)
         assert_bank_matches_brute(gamma, q, d, b, start_k)
 
+    @given(d=st.integers(1, 8), b=st.integers(1, 10),
+           rounds=st.integers(1, 40), density=st.floats(0.0, 1.0),
+           start_k=st.integers(0, 40), seed=st.integers(0, 2**16))
+    @settings(max_examples=100, deadline=None)
+    def test_one_call_equals_column_by_column(self, d, b, rounds, density,
+                                              start_k, seed):
+        # one add_trace lays out every agent of a run at once; the bank
+        # equals one filled an agent at a time
+        gamma, q = random_trace(np.random.default_rng(seed), rounds, density)
+        whole, by_column = SampleBank(d, b), SampleBank(d, b)
+        whole.add_trace(gamma, q, start_k)
+        for c in range(gamma.shape[1]):
+            by_column.add_trace(gamma[:, c:c + 1], q[:, c:c + 1], start_k)
+        assert_banks_equal(whole, by_column)
+
 
 def check_merge(d, b, trace_a, trace_b, start_k):
     """The bank of traces A then B, cell for cell, is bank(A) merged with

@@ -107,6 +107,22 @@ class TestPartition:
         assert len(periods) <= d
 
 
+def assert_columns_concatenated(gamma, q, d, b, start_k):
+    """window_periods of a (T, C) run is, row for row, the calls on its
+    columns concatenated in column order, and so brute_window_periods of
+    each column."""
+    got = window_periods(gamma, q, d, b, start_k)
+    assert all(col.dtype == np.int64 for col in got)
+    per_column = [window_periods(gamma[:, c], q[:, c], d, b, start_k)
+                  for c in range(gamma.shape[1])]
+    for col, parts in zip(got, zip(*per_column)):
+        assert np.array_equal(col, np.concatenate(parts))
+    rows = list(zip(*(col.tolist() for col in got)))
+    assert rows == [row for c in range(gamma.shape[1])
+                    for row in brute_window_periods(
+                        gamma[:, c].tolist(), q[:, c], d, b, start_k)]
+
+
 class TestWindowPeriods:
     @given(bits=st.lists(st.booleans(), max_size=40),
            d=st.integers(1, 12), b=st.integers(1, 15),
@@ -128,6 +144,54 @@ class TestWindowPeriods:
         assert all(col.dtype == np.int64 for col in got)
         rows = list(zip(*(col.tolist() for col in got)))
         assert rows == brute_window_periods(bits, q, d, b, start_k)
+
+    @given(rounds=st.integers(0, 30), cols=st.integers(1, 4),
+           density=st.floats(0.0, 1.0), d=st.integers(1, 8),
+           b=st.integers(1, 10), start_k=st.integers(0, 35),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=200, deadline=None)
+    def test_columns_are_concatenated_runs(self, rounds, cols, density, d, b,
+                                           start_k, seed):
+        rng = np.random.default_rng(seed)
+        gamma = rng.random((rounds, cols)) < density
+        q = rng.integers(0, 256, size=(rounds, cols)).astype(np.int16)
+        assert_columns_concatenated(gamma, q, d, b, start_k)
+
+    def test_no_first_period_lookback_into_the_previous_column(self):
+        # column 0 sends in its last b+1 rounds and column 1 never: column
+        # 1's first windows start at its round 0, b+1 or fewer flat rounds
+        # after column 0's sends, yet they find no communication
+        d, b, rounds = 3, 4, 10
+        gamma = np.zeros((rounds, 2), dtype=bool)
+        gamma[rounds - (b + 1):, 0] = True
+        q = np.arange(2 * rounds).reshape(rounds, 2)
+        assert_columns_concatenated(gamma, q, d, b, 0)
+        rows = window_periods(gamma, q, d, b, 0)
+        silent = slice(-(rounds - d + 1), None)   # column 1: one per window
+        assert (rows[1][silent] == b + 1).all()
+        assert (rows[2][silent] == b + d).all()
+
+    def test_all_silent_columns(self):
+        d, b, rounds = 4, 6, 15
+        gamma = np.zeros((rounds, 3), dtype=bool)
+        q = np.ones((rounds, 3), dtype=np.int16)
+        assert_columns_concatenated(gamma, q, d, b, 5)
+        k, t1, t2, h, a, sums = window_periods(gamma, q, d, b, 5)
+        assert k.tolist() == list(range(5, rounds)) * 3
+        assert (t1 == b + 1).all() and (t2 == b + d).all()
+        assert (h == 1).all() and (a == 1).all() and (sums == d).all()
+
+    def test_run_shorter_than_the_window(self):
+        gamma = np.ones((3, 2), dtype=bool)
+        got = window_periods(gamma, np.ones((3, 2)), 5, 4, 0)
+        assert all(col.size == 0 and col.dtype == np.int64 for col in got)
+
+    def test_one_column_equals_the_flat_run(self, rng):
+        gamma = rng.random(40) < 0.3
+        q = rng.integers(0, 256, size=40)
+        flat = window_periods(gamma, q, 6, 5, 3)
+        column = window_periods(gamma[:, None], q[:, None], 6, 5, 3)
+        assert all(np.array_equal(a, b) for a, b in zip(flat, column))
 
 
 class TestThresholdTable:

@@ -35,6 +35,9 @@ class TestSelectSenders:
         winners = (top_m(qs, m) + 1).tolist()
         assert len(winners) == min(m, len(qs))
         assert tuple(winners) == ref_senders(qs, m)
+        # the engine ranks int16 priorities, and the scale fit float ones
+        for dtype in (np.int16, np.float64):
+            assert (top_m(np.array(qs, dtype=dtype), m) + 1).tolist() == winners
         losers = set(range(1, len(qs) + 1)) - set(winners)
         for w in winners:
             for l in losers:

@@ -1,6 +1,7 @@
 """The lockstep round engine: a run's trace is the same whatever chunk it
-is simulated in, every round of a chunk matches the agent-by-agent oracle,
-the schedule-only path gives the same schedule as the full engine, a run
+is simulated in, every round of a chunk matches the agent-by-agent oracle
+and elects its senders at the M in effect in that round (also when M
+changes between the two rounds of a pair), the schedule-only path gives the same schedule as the full engine, a run
 without a scale keeps the raw priorities it ranked, and the integer
 schedule of a fixed seed is pinned.
 
@@ -22,7 +23,7 @@ from priofd.scenarios import PRESETS, Event, Scenario, actuator_failure
 from priofd.simulate import (CHUNK_CELLS, RunTrace, chunks, run_lockstep,
                              run_single)
 
-from oracles import ref_quantize, ref_replay
+from oracles import ref_quantize, ref_replay, ref_senders
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DESK = SystemConfig.load(CONFIGS / "cartpole_desk.json")
@@ -45,8 +46,19 @@ COMBINED = Scenario("combined", [
     Event(200, "add_disturbance", agents=(5,), covariance=SHAKE, duration=200),
     Event(250, "add_disturbance", agents=(6,), covariance=PUSH, duration=1),
 ])
-CASES = {**{name: (make(), False) for name, make in PRESETS.items()},
-         "combined": (COMBINED, False), "select-on-raw": (None, True)}
+# an odd run length, so the last pair of rounds has one round, and M
+# changed at odd rounds, so rounds 90 and 91, and 150 and 151, elect with
+# different M within one pair
+ODD = dataclasses.replace(DESK, rounds=DESK.rounds - 1)
+ODD_BANDWIDTH = Scenario("odd-bandwidth", [
+    Event(91, "set_bandwidth", bandwidth=1),
+    Event(151, "set_bandwidth", bandwidth=3),
+    Event(201, "set_B_zero", agents=(4,)),
+])
+CASES = {**{name: (make(), False, DESK) for name, make in PRESETS.items()},
+         "combined": (COMBINED, False, DESK),
+         "select-on-raw": (None, True, DESK),
+         "odd-rounds": (ODD_BANDWIDTH, False, ODD)}
 
 # three agents on the desk plant with distinct noise and a distinct gain
 # per ordered pair, agents 1 and 3 uncoupled: a coupling block read as its
@@ -89,24 +101,24 @@ def test_chunk_size_invariance(case):
     # chunks of 1, 2, 7, 25 and DESK_CHUNK runs; every run of every chunk
     # must equal, bit for bit, its trace from one chunk that starts at run
     # 0 and is longer than all of them, so never equals one of them
-    scenario, on_raw = CASES[case]
+    scenario, on_raw, cfg = CASES[case]
     tested = [range(lo, lo + size) for size, lo in (
         (1, 40), (2, 39), (7, 37), (25, 40),
         (DESK_CHUNK, 40 - DESK_CHUNK // 2))]
     whole = range(max(runs.stop for runs in tested) + 1)
-    ref = dict(zip(whole, lockstep(whole, scenario, on_raw)))
+    ref = dict(zip(whole, lockstep(whole, scenario, on_raw, cfg=cfg)))
     for runs in tested:
-        traces = lockstep(runs, scenario, on_raw)
+        traces = lockstep(runs, scenario, on_raw, cfg=cfg)
         assert len(traces) == len(runs)
         for run, trace in zip(runs, traces):
             assert same_bits(trace, ref[run]), (case, len(runs), run)
             assert all(getattr(trace, f).flags.c_contiguous for f in FIELDS)
-    single = run_single(DESK.models(), DESK.bandwidth,
-                        None if on_raw else DESK.quant_scale, DESK.rounds, 7,
+    single = run_single(cfg.models(), cfg.bandwidth,
+                        None if on_raw else cfg.quant_scale, cfg.rounds, 7,
                         40, scenario=scenario)
     assert same_bits(single, ref[40])
-    assert single.gamma.shape == (DESK.rounds, DESK.n_agents)
-    assert single.states.shape == (DESK.rounds, DESK.n_agents, DESK.n)
+    assert single.gamma.shape == (cfg.rounds, cfg.n_agents)
+    assert single.states.shape == (cfg.rounds, cfg.n_agents, cfg.n)
 
 
 def schedule_hash(traces) -> str:
@@ -189,22 +201,31 @@ def test_schedule_only_refuses_events(scenario):
         lockstep(range(2), scenario, schedule_only=True)
 
 
-@pytest.mark.parametrize("fleet, scenario", [
-    (DESK.models(), None), (DESK.models(), COMBINED), (ASYMMETRIC, None)],
-    ids=["fault-free", "combined", "asymmetric"])
-def test_chunk_matches_oracle(fleet, scenario):
+@pytest.mark.parametrize("fleet, scenario, cfg", [
+    (DESK.models(), None, DESK), (DESK.models(), COMBINED, DESK),
+    (ASYMMETRIC, None, DESK), (DESK.models(), ODD_BANDWIDTH, ODD)],
+    ids=["fault-free", "combined", "asymmetric", "odd-rounds"])
+def test_chunk_matches_oracle(fleet, scenario, cfg):
     # every round of every run of one chunk against the agent-by-agent
-    # oracle; a plant that the scenario has changed is compared on
+    # oracle, and the senders each round's priorities elect at the M in
+    # effect then; a plant that the scenario has changed is compared on
     # priorities and estimates only
-    matched = np.ones((DESK.rounds, len(fleet)), dtype=bool)
+    matched = np.ones((cfg.rounds, len(fleet)), dtype=bool)
+    bandwidth = np.full(cfg.rounds, cfg.bandwidth)
     for ev in (scenario.events if scenario else ()):
+        if ev.kind == "set_bandwidth":
+            bandwidth[ev.k:] = ev.bandwidth
+            continue
         end = ev.k + ev.duration + 1 if ev.kind == "add_disturbance" else None
         matched[ev.k:end, [a - 1 for a in ev.agents]] = False
-    for trace in lockstep(range(3, 8), scenario, fleet=fleet):
+    for trace in lockstep(range(3, 8), scenario, fleet=fleet, cfg=cfg):
         xhat = trace.states - trace.errors
         for k, q, xhat_next, x_next in ref_replay(fleet, trace,
-                                                  DESK.quant_scale):
+                                                  cfg.quant_scale):
             assert q == trace.priorities[k].tolist(), k
+            if k + 2 < cfg.rounds:
+                assert set(np.flatnonzero(trace.gamma[k + 2]) + 1) == set(
+                    ref_senders(q, bandwidth[k])), k
             assert np.allclose(xhat[k + 1], xhat_next, atol=1e-9), k
             ok = matched[k]
             assert np.allclose(trace.states[k + 1, ok], x_next[ok],
