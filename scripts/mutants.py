@@ -102,6 +102,8 @@ MUTANTS = [
      "kernel: period sums leave out their last round"),
     (FD, "h_count = n_comm + ~g[kf]", "h_count = n_comm + 1",
      "kernel: a trailing silent period after a communicating round"),
+    (FD, "w = np.cumsum(a) - a", "w = np.cumsum(a)",
+     "dFD replay files each window's verdict under the next window"),
     # the online path
     (NET, "bisect_right(comms, hi)]", "bisect_left(comms, hi)]",
      "history lookup leaves out a communication at hi"),
@@ -159,11 +161,14 @@ MUTANTS = [
                  *(rec.states[:, :, j].T.ravel() for j in range(n_sel))))""",
      "run record rows agent-major instead of k-major"),
     # the detector axis: one place that swaps sFD and dFD
-    (HARNESS, """            alarms[:, i, SFD] = sfd_verdicts(q, table.sfd_kappa, table.d)
-            alarms[:, i, DFD] = dfd_verdicts(trace.gamma[:, i], q, table)""",
-     """            alarms[:, i, DFD] = sfd_verdicts(q, table.sfd_kappa, table.d)
-            alarms[:, i, SFD] = dfd_verdicts(trace.gamma[:, i], q, table)""",
+    (HARNESS, """        alarms[..., SFD] = fd_static.sfd_verdicts(q, table.sfd_kappa, table.d)
+        alarms[..., DFD] = fd_dynamic.dfd_verdicts(g, q, table)""",
+     """        alarms[..., DFD] = fd_static.sfd_verdicts(q, table.sfd_kappa, table.d)
+        alarms[..., SFD] = fd_dynamic.dfd_verdicts(g, q, table)""",
      "the worker files sFD verdicts under dFD and dFD under sFD"),
+    (HARNESS, """row = SEP.join(["%s"] * len(names))""",
+     """row = SEP.join(["%r"] * len(names))""",
+     "a CSV row formats its cells with repr, quoting strings"),
     (HARNESS, "alarms[..., (SFD, DFD)] = flags[..., 2:]",
      "alarms[..., (DFD, SFD)] = flags[..., 2:]",
      "a parsed run record swaps its sfd and dfd columns"),

@@ -81,13 +81,13 @@ def sync_lqr_gains(a: np.ndarray, b: np.ndarray, n_agents: int,
     f_g = -np.linalg.solve(r_g + b_g.T @ p @ b_g, b_g.T @ p @ a_g)
     f_self = f_g[:m, :n].copy()
     f_cross = f_g[:m, n:2 * n].copy() if n_agents > 1 else np.zeros((m, n))
-    # Homogeneous agents on a complete graph must give a block-symmetric gain.
-    for i in range(n_agents):
-        for j in range(n_agents):
-            blk = f_g[i * m:(i + 1) * m, j * n:(j + 1) * n]
-            ref = f_self if i == j else f_cross
-            if not np.allclose(blk, ref, rtol=1e-8, atol=1e-10):
-                raise RuntimeError("stacked LQR gain lost its symmetric block structure")
+    # Homogeneous agents on a complete graph must give a block-symmetric gain:
+    # in the (N, m, N, n) view, block (i, j) is f_self if i == j, else f_cross
+    diag = eye.astype(bool)[:, None, :, None]
+    if not np.allclose(f_g.reshape(n_agents, m, n_agents, n),
+                       np.where(diag, f_self[:, None], f_cross[:, None]),
+                       rtol=1e-8, atol=1e-10):
+        raise RuntimeError("stacked LQR gain lost its symmetric block structure")
     return f_self, f_cross
 
 

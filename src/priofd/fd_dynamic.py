@@ -25,8 +25,8 @@ of the window's priorities and its threshold as a Python float.
 The batch kernel window_periods lays out every period of every window of a
 recorded (T,) or (T, C) run as flat arrays, column (agent) after column,
 in one pass; a window's first period looks back for its T1 only within
-its own column. Calibration (SampleBank.add_trace) lays out all agents of
-a run in one call, replay (dfd_verdicts) one agent at a time.
+its own column. Calibration (SampleBank.add_trace) and replay
+(dfd_verdicts) each lay out all agents of a run in one call.
 
 Table file format "PFDT" v1 (little endian):
 
@@ -225,13 +225,17 @@ def dfd_evaluate(history: ScheduleHistory, priorities: Sequence[int],
 
 def dfd_verdicts(gamma: np.ndarray, priorities: np.ndarray,
                  table: ThresholdTable) -> np.ndarray:
-    """Vectorized replay of one agent's full run: verdicts for rounds
-    0..T-1 from the recorded schedule and priorities. Rounds before the
-    first full window are NoFault. Identical to dfd_evaluate round by
-    round."""
-    out = np.zeros(len(gamma), dtype=bool)
-    k, t1, t2, h, a, s = window_periods(gamma, priorities, table.d, table.b, 0)
+    """Vectorized replay of a full run: verdicts for rounds 0..T-1 of one
+    agent's (T,) schedule and priorities, or of every column (agent) of a
+    (T, C) pair, in that shape. Rounds before the first full window are
+    NoFault. Identical to dfd_evaluate round by round."""
+    g, d = np.asarray(gamma, dtype=bool), table.d
+    _, t1, t2, h, a, s = window_periods(g, priorities, d, table.b, 0)
+    w = np.cumsum(a) - a        # window index: a window ends on a = 1
     tab = t2 <= table.b
     kappa = table.entries[t1[tab] - 1, t2[tab] - 1, h[tab] - 1, a[tab]]
-    out[k[tab][s[tab] > kappa]] = True
+    fault = np.zeros(g.T.shape[:-1] + (max(len(g) - d + 1, 0),), dtype=bool)
+    fault.reshape(-1)[w[tab][s[tab] > kappa]] = True     # (C, windows)
+    out = np.zeros(g.shape, dtype=bool)
+    out[d - 1:] = fault.T
     return out

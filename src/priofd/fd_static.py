@@ -38,13 +38,12 @@ class StaticDetector:
 
 
 def sfd_verdicts(priorities: np.ndarray, kappa: float, d: int) -> np.ndarray:
-    """Vectorized replay: verdicts for rounds 0..T-1 given the full priority
-    sequence of one agent. Identical to feeding StaticDetector round by
-    round."""
+    """Vectorized replay: verdicts for rounds 0..T-1 of a (T,) priority
+    sequence, or of every column (agent) of a (T, C) one, in its shape.
+    Identical to feeding StaticDetector round by round."""
     q = np.asarray(priorities, dtype=np.int64)
-    sums = window_sums(q, d)
-    out = np.zeros(q.shape[0], dtype=bool)
-    out[d - 1:] = sums > kappa
+    out = np.zeros(q.shape, dtype=bool)
+    out[d - 1:] = window_sums(q, d) > kappa
     return out
 
 

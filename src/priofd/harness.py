@@ -3,10 +3,11 @@
 All emitted files are semicolon separated with '.' decimals and start with
 a provenance comment (config hash, seed, run count, scenario), so identical
 inputs produce byte-identical files. write_table is the one CSV writer:
-each artifact is a set of equal-length columns, and every cell is str of
-the Python value (bools as 0 and 1; str of a float is its repr, which
-parses back bit-exactly). Aggregates are exact counts divided by the run
-count and can be recomputed from emitted run records.
+each artifact is a set of equal-length columns, written one formatted row
+at a time, and every cell is str of the Python value (bools as 0 and 1;
+str of a float is its repr, which parses back bit-exactly). A worker
+replays each run's detectors once for all agents. Aggregates are exact
+counts divided by the run count and can be recomputed from run records.
 Every per-detector array ends in an axis of length 2 in the order of
 DETECTORS; the CSV column names stay the literal text of the file format.
 """
@@ -16,17 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from . import fd_dynamic, fd_static
 from .config import SystemConfig
 from .errors import ConfigError
-from .fd_dynamic import ThresholdTable, dfd_verdicts
-from .fd_static import sfd_verdicts
+# perfbench wraps and calls the verdicts here, one agent at a time, and wraps
+# run_single; a benchmark-only change moves that to the modules and run_lockstep
+from .fd_dynamic import ThresholdTable, dfd_verdicts  # noqa: F401
+from .fd_static import sfd_verdicts  # noqa: F401
 from .scenarios import Scenario, fault_free
 from .simulate import map_chunks, run_lockstep
-# perfbench wraps run_single here; a benchmark-only change moves that to run_lockstep
 from .simulate import run_single  # noqa: F401
 
 DETECTORS = ("sfd", "dfd")
@@ -81,10 +84,9 @@ def _run_chunk(models, m, scale, rounds, seed, scenario, table, band,
     for run, trace in zip(chunk, run_lockstep(models, m, scale, rounds, seed,
                                               chunk, scenario=scenario)):
         alarms = np.empty(trace.gamma.shape + (len(DETECTORS),), dtype=bool)
-        for i in range(trace.gamma.shape[1]):
-            q = trace.priorities[:, i]
-            alarms[:, i, SFD] = sfd_verdicts(q, table.sfd_kappa, table.d)
-            alarms[:, i, DFD] = dfd_verdicts(trace.gamma[:, i], q, table)
+        g, q = trace.gamma, trace.priorities
+        alarms[..., SFD] = fd_static.sfd_verdicts(q, table.sfd_kappa, table.d)
+        alarms[..., DFD] = fd_dynamic.dfd_verdicts(g, q, table)
         summary = (alarms, trace.states[:, band[0], band[1]],
                    np.einsum("kij,kij->ki", trace.errors, trace.errors))
         record = (RunRecord(run, seed, trace.gamma, trace.priorities, alarms,
@@ -218,22 +220,17 @@ def _provenance(cfg_hash: str, seed: int, runs: int, scenario: str) -> str:
             f"{SEP}scenario={scenario}\n")
 
 
-def _cells(column) -> Iterator[str]:
-    """One column's cells, each str of the Python value; bools as ints."""
-    col = np.asarray(column)
-    if col.dtype.kind == "b":
-        col = col.astype(np.int64)
-    return map(str, col.tolist())
-
-
 def write_table(path, header: str, names: Sequence[str],
                 columns: Sequence) -> None:
     """`header`, a line of column names, then one row per index of the
-    equal-length columns, each column formatted once by _cells."""
-    rows = zip(*map(_cells, columns))
+    equal-length columns: each cell is "%s" of the column's Python value
+    (bools as ints), which is its str."""
+    cols = [(c.astype(np.int64) if c.dtype.kind == "b" else c).tolist()
+            for c in map(np.asarray, columns)]
+    row = SEP.join(["%s"] * len(names)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(header + SEP.join(names) + "\n")
-        fh.writelines(SEP.join(row) + "\n" for row in rows)
+        fh.writelines(row % cells for cells in zip(*cols))
 
 
 def write_alarm_series(report: AggregateReport, path: Path, header: str) -> None:

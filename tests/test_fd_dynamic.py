@@ -123,6 +123,29 @@ def assert_columns_concatenated(gamma, q, d, b, start_k):
                         gamma[:, c].tolist(), q[:, c], d, b, start_k)]
 
 
+def random_table(rng, d, b):
+    """Thresholds near the typical period sum, so both verdicts occur, with
+    some cells never alarming."""
+    length = np.arange(b)[None, :] - np.arange(b)[:, None] + 1
+    kappa = length[:, :, None, None] * rng.uniform(60, 200, (b, b, d, 2))
+    kappa[rng.random(kappa.shape) < 0.2] = np.inf
+    table = flat_table(d, b, 0.0)
+    valid = length >= 1
+    table.entries[valid] = kappa[valid]
+    return table
+
+
+def assert_run_replays_columns(gamma, q, table):
+    """dfd_verdicts of a (T, C) run has its shape and equals the calls on
+    its columns."""
+    got = dfd_verdicts(gamma, q, table)
+    assert got.shape == gamma.shape and got.dtype == bool
+    for c in range(gamma.shape[1]):
+        assert np.array_equal(got[:, c],
+                              dfd_verdicts(gamma[:, c], q[:, c], table))
+    return got
+
+
 class TestWindowPeriods:
     @given(bits=st.lists(st.booleans(), max_size=40),
            d=st.integers(1, 12), b=st.integers(1, 15),
@@ -327,14 +350,7 @@ class TestEvaluate:
     def test_offline_matches_online(self, d, b, density, seed):
         rng = np.random.default_rng(seed)
         rounds = 60
-        # thresholds near the typical period sum so both verdicts occur,
-        # with some cells never alarming
-        length = np.arange(b)[None, :] - np.arange(b)[:, None] + 1
-        kappa = length[:, :, None, None] * rng.uniform(60, 200, (b, b, d, 2))
-        kappa[rng.random(kappa.shape) < 0.2] = np.inf
-        table = flat_table(d, b, 0.0)
-        valid = length >= 1
-        table.entries[valid] = kappa[valid]
+        table = random_table(rng, d, b)
         bits = rng.random(rounds) < density
         q = rng.integers(0, 256, size=rounds)
         offline = dfd_verdicts(bits, q, table)
@@ -376,6 +392,55 @@ class TestEvaluate:
         first = dfd_verdicts(bits, q, small_table)
         again = dfd_verdicts(bits.copy(), q.copy(), small_table)
         assert np.array_equal(first, again)
+
+
+class TestRunReplay:
+    """dfd_verdicts on a (T, C) run against the column-by-column calls."""
+
+    @given(rounds=st.integers(0, 40), cols=st.integers(1, 4),
+           density=st.floats(0.0, 1.0), d=st.integers(1, 8),
+           b=st.integers(1, 10), seed=st.integers(0, 2**16))
+    @settings(max_examples=200, deadline=None)
+    # T < d; T = d, one window per column; one column
+    @example(rounds=3, cols=2, density=0.5, d=5, b=4, seed=0)
+    @example(rounds=6, cols=3, density=0.5, d=6, b=4, seed=1)
+    @example(rounds=30, cols=1, density=0.3, d=4, b=6, seed=2)
+    def test_equals_column_by_column(self, rounds, cols, density, d, b, seed):
+        rng = np.random.default_rng(seed)
+        table = random_table(rng, d, b)
+        gamma = rng.random((rounds, cols)) < density
+        q = rng.integers(0, 256, size=(rounds, cols)).astype(np.int16)
+        assert_run_replays_columns(gamma, q, table)
+
+    def test_silent_and_always_sending_columns(self, rng):
+        # with the reference table and saturated priorities: a column that
+        # never communicates has only periods beyond b and never alarms,
+        # and one that always communicates does alarm
+        table = ThresholdTable.load(DESK_TABLE)
+        rounds = 80
+        gamma = np.zeros((rounds, 3), dtype=bool)
+        gamma[:, 1] = True
+        gamma[:, 2] = rng.random(rounds) < 0.33
+        q = np.full((rounds, 3), 255, dtype=np.int16)
+        got = assert_run_replays_columns(gamma, q, table)
+        assert not got[:, 0].any()
+        assert got[table.d - 1:, 1].all()
+
+    def test_short_runs(self, rng):
+        table = random_table(rng, 5, 4)
+        gamma = rng.random((5, 3)) < 0.5
+        q = rng.integers(0, 256, size=(5, 3))
+        assert not assert_run_replays_columns(gamma[:4], q[:4], table).any()
+        got = assert_run_replays_columns(gamma, q, table)
+        assert not got[:4].any()
+
+    def test_one_column_equals_the_flat_run(self, rng, small_table):
+        gamma = rng.random(120) < 0.33
+        q = rng.integers(0, 256, size=120)
+        flat = dfd_verdicts(gamma, q, small_table)
+        assert flat.any()
+        column = dfd_verdicts(gamma[:, None], q[:, None], small_table)
+        assert np.array_equal(column, flat[:, None])
 
 
 class TestUnionBoundToy:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from priofd.fd_static import StaticDetector, sfd_verdicts, window_sums
 
@@ -64,6 +64,36 @@ def test_offline_matches_online(seq):
     online = np.array([det.update(g) for g in seq])
     offline = sfd_verdicts(np.array(seq), kappa, d)
     assert np.array_equal(online, offline)
+
+
+@given(st.integers(0, 30), st.integers(1, 4), st.integers(1, 8),
+       st.integers(0, 2**16))
+@settings(deadline=None)
+# T < d; T = d, one window per column; one column
+@example(3, 2, 5, 0)
+@example(6, 3, 6, 1)
+@example(30, 1, 4, 2)
+def test_run_equals_column_by_column(rounds, cols, d, seed):
+    rng = np.random.default_rng(seed)
+    q = rng.integers(0, 256, size=(rounds, cols)).astype(np.int16)
+    kappa = 128.0 * d
+    got = sfd_verdicts(q, kappa, d)
+    assert got.shape == q.shape and got.dtype == bool
+    for c in range(cols):
+        assert np.array_equal(got[:, c], sfd_verdicts(q[:, c], kappa, d))
+
+
+def test_silent_and_saturated_columns():
+    # a column whose priorities stay 0 never alarms; one at 255 alarms from
+    # its first full window on
+    d, rounds = 4, 20
+    q = np.zeros((rounds, 2), dtype=np.int16)
+    q[:, 1] = 255
+    got = sfd_verdicts(q, 255.0 * d - 1, d)
+    assert not got[:, 0].any()
+    assert not got[:d - 1, 1].any() and got[d - 1:, 1].all()
+    for c in range(2):
+        assert np.array_equal(got[:, c], sfd_verdicts(q[:, c], 255.0 * d - 1, d))
 
 
 def test_window_sums_against_naive(rng):

@@ -9,11 +9,11 @@ from priofd.cli import main
 from priofd.errors import ConfigError
 from priofd.fd_dynamic import dfd_verdicts
 from priofd.fd_static import sfd_verdicts
-from priofd.harness import (DETECTORS, DFD, SFD, AggregateReport, RunRecord,
-                            _run_chunk, emit_csv, parse_run_record,
+from priofd.harness import (DETECTORS, DFD, SEP, SFD, AggregateReport,
+                            RunRecord, _run_chunk, emit_csv, parse_run_record,
                             report_from_records, run_batch,
                             write_alarm_series, write_detection_delays,
-                            write_run_record)
+                            write_run_record, write_table)
 from priofd.scenarios import (PRESETS, actuator_failure, bandwidth_loss,
                               fault_free, shaken_pole)
 
@@ -306,6 +306,38 @@ def test_empty_delay_table_is_header_only(tmp_path, desk_cfg, small_table):
     path = tmp_path / "delays.csv"
     write_detection_delays(report, path, "# h\n")
     assert path.read_text() == "# h\ndelay;n_sfd;n_dfd\n"
+
+
+def reference_table(header, names, columns):
+    """The CSV format spelled out: SEP.join(map(str, row)) over the columns'
+    .tolist() values, bools as ints."""
+    values = [[int(v) if isinstance(v, bool) else v
+               for v in np.asarray(col).tolist()] for col in columns]
+    return header + SEP.join(names) + "\n" + "".join(
+        SEP.join(map(str, row)) + "\n" for row in zip(*values))
+
+
+def test_write_table_golden(tmp_path):
+    floats = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, 1e39]
+    n = len(floats)
+    names = ("flag", "i16", "i64", "name", "x")
+    columns = (np.arange(n) % 3 == 0,
+               np.arange(n, dtype=np.int16) * -4096,
+               np.arange(n, dtype=np.int64) * 2**61,
+               ["sfd", "dfd", "a b", "", "x=1", "-", "z"],
+               np.array(floats))
+    path = tmp_path / "t.csv"
+    write_table(path, "# h\n", names, columns)
+    expect = reference_table("# h\n", names, columns)
+    assert path.read_bytes() == expect.encode()
+    assert expect.splitlines()[2:4] == [
+        "1;0;0;sfd;nan", "0;-4096;2305843009213693952;dfd;inf"]
+    assert [line.rsplit(SEP, 1)[1] for line in expect.splitlines()[2:]] == [
+        "nan", "inf", "-inf", "-0.0", "5e-324", "0.1", "1e+39"]
+    empty = tuple(np.asarray(col)[:0] for col in columns)
+    write_table(path, "# h\n", names, empty)
+    assert path.read_bytes() == reference_table("# h\n", names, empty).encode()
+    assert path.read_text() == "# h\nflag;i16;i64;name;x\n"
 
 
 def assert_cells(path, header_lines, names, rows):
