@@ -96,14 +96,16 @@ MUTANTS = [
      "kernel: first-period T1 capped at b"),
     (FD, "np.where(prev >= base,", "np.where(prev >= 0,",
      "kernel: first-period T1 ignores the column boundary"),
-    (FD, "(j == h_count[w] - 1).astype(np.int64)", "(j == 0).astype(np.int64)",
+    (FD, "(j == h - 1).astype(np.int64)", "(j == 0).astype(np.int64)",
      "kernel: flag a on the first period instead of the last"),
-    (FD, "cq[end + 1] - cq[start])", "cq[end] - cq[start])",
+    (FD, "sums = cq[end + 1] - cq[start]", "sums = cq[end] - cq[start]",
      "kernel: period sums leave out their last round"),
     (FD, "h_count = n_comm + ~g[kf]", "h_count = n_comm + 1",
      "kernel: a trailing silent period after a communicating round"),
-    (FD, "w = np.cumsum(a) - a", "w = np.cumsum(a)",
-     "dFD replay files each window's verdict under the next window"),
+    (FD, "keep = end <= b", "keep = end < b",
+     "kernel: a period that ends at T2 = b is not compared"),
+    # retired: dFD replay files each window's verdict under the next window
+    # (w = np.cumsum(a)); replay scatters onto the kernel's own window row w
     # the online path
     (NET, "bisect_right(comms, hi)]", "bisect_left(comms, hi)]",
      "history lookup leaves out a communication at hi"),

@@ -158,14 +158,14 @@ class SampleBank:
 
     def add_trace(self, gamma: np.ndarray, priorities: np.ndarray,
                   start_k: int) -> None:
-        """Collect every window sum and period sum at rounds >= start_k of
-        every agent (column) of one run, from one layout of its periods."""
+        """Collect every window sum, and every period sum window_periods
+        compares (T2 <= b), at rounds >= start_k of every agent (column) of
+        one run, binning the kernel's rows as they come."""
         d, b = self.d, self.b
         start_k = max(start_k, d - 1)
         windows = window_sums(priorities, d)[start_k - (d - 1):]
         _, t1, t2, _, a, s = window_periods(gamma, priorities, d, b, start_k)
-        tab = t2 <= b
-        self.add_sums(windows.ravel(), t1[tab], t2[tab], a[tab], s[tab])
+        self.add_sums(windows.ravel(), t1, t2, a, s)
 
     def merge(self, other: SampleBank) -> SampleBank:
         """Add `other`'s samples to this bank, row by row of each cell;
@@ -301,6 +301,10 @@ def fit_quantization_scale(models: Fleet, m: int, runs: int, run_length: int,
                                "scale fit pools their raw priorities")
     if runs < 1:
         raise CalibrationError(f"the scale fit needs runs >= 1, got {runs}")
+    if not 0 <= warmup_discard < run_length:
+        raise CalibrationError(
+            f"the scale fit needs 0 <= warmup_discard < run_length = "
+            f"{run_length}, got warmup_discard={warmup_discard}")
     worker = partial(run_lockstep, models, m, None, run_length, seed,
                      schedule_only=True)
     samples = np.concatenate([

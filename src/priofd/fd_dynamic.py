@@ -22,11 +22,15 @@ first period's T1 and the last round of every period. partition_window
 builds its Period tuples from those; dfd_evaluate walks them in one pass
 with no per-period objects, taking each period's sum from one prefix list
 of the window's priorities and its threshold as a Python float.
-The batch kernel window_periods lays out every period of every window of a
-recorded (T,) or (T, C) run as flat arrays, column (agent) after column,
-in one pass; a window's first period looks back for its T1 only within
-its own column. Calibration (SampleBank.add_trace) and replay
-(dfd_verdicts) each lay out all agents of a run in one call.
+The batch kernel window_periods lays out the compared periods of every
+window of a recorded (T,) or (T, C) run as flat arrays, column (agent)
+after column, in one pass; a window's first period looks back for its T1
+only within its own column. It is where the batch path decides T2 <= b,
+and it tags each period with its window's row w in the run's (C, windows)
+layout. Calibration (SampleBank.add_trace) bins its rows as they come;
+replay (dfd_verdicts) gathers their thresholds and scatters each
+exceedance onto w. Online, dfd_evaluate decides T2 <= b itself, and
+test_offline_matches_online holds the two paths to the same verdicts.
 
 Table file format "PFDT" v1 (little endian):
 
@@ -102,20 +106,18 @@ def partition_window(history: ScheduleHistory, k: int, d: int, b: int) -> list[P
 
 def window_periods(gamma: np.ndarray, q: np.ndarray, d: int, b: int,
                    start_k: int) -> tuple[np.ndarray, ...]:
-    """Every period of every window [k-d+1, k] with k >= start_k of every
-    column (agent) of a (T,) or (T, C) run, as flat int64 arrays (k, T1,
-    T2, H, a, sum). Rows are ordered by column, then by k, then by period
-    index within the window, so the rows of a (T, C) run are those of its
-    C columns concatenated."""
+    """The compared periods (T2 <= b) of every window [k-d+1, k], k >=
+    start_k, of every column of a (T,) or (T, C) run, as flat int64 arrays
+    (w, T1, T2, H, a, sum) in column, k, period order. w is the window's
+    row in the (C, windows) layout: k = w % windows + max(start_k, d-1)."""
     g = np.asarray(gamma, dtype=bool)
     rounds, cols = g.shape[0], 1 if g.ndim == 1 else g.shape[1]
     # the columns laid end to end: a window ends at flat round kf of the
     # column that starts at flat round base, and sees only that column
     g, q = g.T.ravel(), np.asarray(q).T.ravel()
     col_ks = np.arange(max(start_k, d - 1), rounds)
-    ks = np.tile(col_ks, cols)
     base = np.repeat(np.arange(cols) * rounds, col_ks.size)
-    kf = base + ks
+    kf = base + np.tile(col_ks, cols)
     ws = kf - d + 1
     comms = np.flatnonzero(g)
     pad = np.append(comms, -1)                # lo + j may run one past the end
@@ -136,8 +138,13 @@ def window_periods(gamma: np.ndarray, q: np.ndarray, d: int, b: int,
     prev = pad[lo - 1]
     t1[first] = np.where(prev >= base, np.minimum(ws - prev, b + 1), b + 1)
     cq = np.concatenate(([0], np.cumsum(q, dtype=np.int64)))
-    return (ks[w], t1, t1 + end - start, h_count[w],
-            (j == h_count[w] - 1).astype(np.int64), cq[end + 1] - cq[start])
+    sums = cq[end + 1] - cq[start]
+    end += t1 - start                         # T2, in place
+    keep = end <= b                           # a period past b never alarms
+    w, j = w[keep], j[keep]
+    h = h_count[w]
+    return (w, t1[keep], end[keep], h, (j == h - 1).astype(np.int64),
+            sums[keep])
 
 
 @dataclass
@@ -191,6 +198,10 @@ class ThresholdTable:
             raise ConfigError(f"{path}: not a threshold table (bad magic)")
         if version != VERSION:
             raise ConfigError(f"{path}: unsupported table version {version}")
+        if d < 1 or b < 1 or not 0 < eta < 1:
+            raise ConfigError(f"{path}: bad table header: need d >= 1, "
+                              f"b >= 1 and 0 < eta < 1, got d={d}, b={b}, "
+                              f"eta={eta}")
         count = b * b * d * 2
         body = blob[_HEADER.size:]
         if len(body) != 4 * count:
@@ -227,15 +238,14 @@ def dfd_verdicts(gamma: np.ndarray, priorities: np.ndarray,
                  table: ThresholdTable) -> np.ndarray:
     """Vectorized replay of a full run: verdicts for rounds 0..T-1 of one
     agent's (T,) schedule and priorities, or of every column (agent) of a
-    (T, C) pair, in that shape. Rounds before the first full window are
-    NoFault. Identical to dfd_evaluate round by round."""
+    (T, C) pair, in that shape: one gather of the thresholds of the periods
+    window_periods compares, and one scatter of the exceedances onto their
+    window rows w. Rounds before the first full window are NoFault.
+    Identical to dfd_evaluate round by round."""
     g, d = np.asarray(gamma, dtype=bool), table.d
-    _, t1, t2, h, a, s = window_periods(g, priorities, d, table.b, 0)
-    w = np.cumsum(a) - a        # window index: a window ends on a = 1
-    tab = t2 <= table.b
-    kappa = table.entries[t1[tab] - 1, t2[tab] - 1, h[tab] - 1, a[tab]]
+    w, t1, t2, h, a, s = window_periods(g, priorities, d, table.b, 0)
     fault = np.zeros(g.T.shape[:-1] + (max(len(g) - d + 1, 0),), dtype=bool)
-    fault.reshape(-1)[w[tab][s[tab] > kappa]] = True     # (C, windows)
+    fault.reshape(-1)[w[s > table.entries[t1 - 1, t2 - 1, h - 1, a]]] = True
     out = np.zeros(g.shape, dtype=bool)
     out[d - 1:] = fault.T
     return out

@@ -424,6 +424,20 @@ class TestScaleFit:
             fit_quantization_scale(desk_models, 2, runs=0, run_length=100,
                                    seed=0, warmup_discard=20)
 
+    @pytest.mark.parametrize("warmup", [100, 150])
+    def test_warmup_through_the_run_refused(self, desk_models, warmup):
+        # no round is left to pool
+        with pytest.raises(CalibrationError,
+                           match=f"got warmup_discard={warmup}"):
+            fit_quantization_scale(desk_models, 2, runs=2, run_length=100,
+                                   seed=0, warmup_discard=warmup)
+
+    def test_negative_warmup_refused(self, desk_models):
+        # priorities[-5:] would pool only the last five rounds
+        with pytest.raises(CalibrationError, match="got warmup_discard=-5"):
+            fit_quantization_scale(desk_models, 2, runs=2, run_length=100,
+                                   seed=0, warmup_discard=-5)
+
     def test_heterogeneous_fleet_refused(self, desk_cfg, desk_models):
         # the engine runs agents with distinct noise, but the scale fit
         # pools their raw priorities

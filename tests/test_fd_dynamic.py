@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from priofd.errors import ConfigError
-from priofd.fd_dynamic import (ThresholdTable, dfd_evaluate, dfd_verdicts,
-                               partition_window, window_periods)
+from priofd.fd_dynamic import (MAGIC, VERSION, _HEADER, ThresholdTable,
+                               dfd_evaluate, dfd_verdicts, partition_window,
+                               window_periods)
 from priofd.network import ScheduleHistory
 
 from oracles import ExactToy, brute_partition, brute_window_periods
@@ -107,20 +108,42 @@ class TestPartition:
         assert len(periods) <= d
 
 
-def assert_columns_concatenated(gamma, q, d, b, start_k):
-    """window_periods of a (T, C) run is, row for row, the calls on its
-    columns concatenated in column order, and so brute_window_periods of
-    each column."""
+def kernel_rows(gamma, q, d, b, start_k):
+    """window_periods of a (T,) or (T, C) run as (column, k, T1, T2, H, a,
+    sum) rows, with column = w // windows and k = w % windows + the first
+    window's k."""
     got = window_periods(gamma, q, d, b, start_k)
     assert all(col.dtype == np.int64 for col in got)
+    first_k = max(start_k, d - 1)
+    column, k = np.divmod(got[0], max(len(gamma) - first_k, 1))
+    return list(zip(column.tolist(), (k + first_k).tolist(),
+                    *(col.tolist() for col in got[1:])))
+
+
+def brute_compared(bits, q, d, b, start_k, column=0):
+    """brute_window_periods rows with T2 <= b, the periods dFD compares."""
+    return [(column, *row) for row in brute_window_periods(bits, q, d, b,
+                                                           start_k)
+            if row[2] <= b]
+
+
+def assert_columns_concatenated(gamma, q, d, b, start_k):
+    """window_periods of a (T, C) run is, row for row, the calls on its
+    columns concatenated in column order, each w offset by its column's
+    first window row, and so the compared rows of brute_window_periods of
+    each column."""
+    got = window_periods(gamma, q, d, b, start_k)
+    windows = max(len(gamma) - max(start_k, d - 1), 0)
     per_column = [window_periods(gamma[:, c], q[:, c], d, b, start_k)
                   for c in range(gamma.shape[1])]
+    for c, part in enumerate(per_column):
+        part[0][:] += c * windows
     for col, parts in zip(got, zip(*per_column)):
         assert np.array_equal(col, np.concatenate(parts))
-    rows = list(zip(*(col.tolist() for col in got)))
-    assert rows == [row for c in range(gamma.shape[1])
-                    for row in brute_window_periods(
-                        gamma[:, c].tolist(), q[:, c], d, b, start_k)]
+    assert kernel_rows(gamma, q, d, b, start_k) == [
+        row for c in range(gamma.shape[1])
+        for row in brute_compared(gamma[:, c].tolist(), q[:, c], d, b,
+                                  start_k, c)]
 
 
 def random_table(rng, d, b):
@@ -163,10 +186,8 @@ class TestWindowPeriods:
              start_k=6, seed=5)
     def test_matches_brute_partition(self, bits, d, b, start_k, seed):
         q = np.random.default_rng(seed).integers(0, 256, size=len(bits))
-        got = window_periods(np.array(bits, dtype=bool), q, d, b, start_k)
-        assert all(col.dtype == np.int64 for col in got)
-        rows = list(zip(*(col.tolist() for col in got)))
-        assert rows == brute_window_periods(bits, q, d, b, start_k)
+        assert kernel_rows(np.array(bits, dtype=bool), q, d, b, start_k) == \
+            brute_compared(bits, q, d, b, start_k)
 
     @given(rounds=st.integers(0, 30), cols=st.integers(1, 4),
            density=st.floats(0.0, 1.0), d=st.integers(1, 8),
@@ -183,26 +204,24 @@ class TestWindowPeriods:
     def test_no_first_period_lookback_into_the_previous_column(self):
         # column 0 sends in its last b+1 rounds and column 1 never: column
         # 1's first windows start at its round 0, b+1 or fewer flat rounds
-        # after column 0's sends, yet they find no communication
+        # after column 0's sends, yet they find no communication, so their
+        # one period runs past b and is not compared
         d, b, rounds = 3, 4, 10
         gamma = np.zeros((rounds, 2), dtype=bool)
         gamma[rounds - (b + 1):, 0] = True
         q = np.arange(2 * rounds).reshape(rounds, 2)
         assert_columns_concatenated(gamma, q, d, b, 0)
-        rows = window_periods(gamma, q, d, b, 0)
-        silent = slice(-(rounds - d + 1), None)   # column 1: one per window
-        assert (rows[1][silent] == b + 1).all()
-        assert (rows[2][silent] == b + d).all()
+        w = window_periods(gamma, q, d, b, 0)[0]
+        assert w.size and (w < rounds - d + 1).all()     # column 0 only
 
     def test_all_silent_columns(self):
+        # every window is one silent period past b: none is compared
         d, b, rounds = 4, 6, 15
         gamma = np.zeros((rounds, 3), dtype=bool)
         q = np.ones((rounds, 3), dtype=np.int16)
         assert_columns_concatenated(gamma, q, d, b, 5)
-        k, t1, t2, h, a, sums = window_periods(gamma, q, d, b, 5)
-        assert k.tolist() == list(range(5, rounds)) * 3
-        assert (t1 == b + 1).all() and (t2 == b + d).all()
-        assert (h == 1).all() and (a == 1).all() and (sums == d).all()
+        got = window_periods(gamma, q, d, b, 5)
+        assert all(col.size == 0 and col.dtype == np.int64 for col in got)
 
     def test_run_shorter_than_the_window(self):
         gamma = np.ones((3, 2), dtype=bool)
@@ -248,6 +267,18 @@ class TestThresholdTable:
         blob = path.read_bytes()
         path.write_bytes(blob[:-4])
         with pytest.raises(ConfigError):
+            ThresholdTable.load(path)
+
+    @pytest.mark.parametrize("eta,d,b", [
+        (0.01, 0, 0), (0.01, 0, 4), (0.01, 3, 0), (float("nan"), 3, 4),
+        (0.0, 3, 4), (1.0, 3, 4), (-0.5, 3, 4)])
+    def test_bad_header_fields_rejected(self, tmp_path, eta, d, b):
+        # a hand-packed header; d = b = 0 would be a table of size zero
+        path = tmp_path / "bad.pfdt"
+        path.write_bytes(_HEADER.pack(MAGIC, VERSION, eta, d, b, 2, 6, 1.0,
+                                      0, 0.0, 0, 0)
+                         + bytes(4 * b * b * d * 2))
+        with pytest.raises(ConfigError, match="bad table header"):
             ThresholdTable.load(path)
 
     def test_header_compatibility(self, desk_cfg):
