@@ -40,6 +40,7 @@ FD = "src/priofd/fd_dynamic.py"
 NET = "src/priofd/network.py"
 DYN = "src/priofd/dynamics.py"
 SCN = "src/priofd/scenarios.py"
+CFG = "src/priofd/config.py"
 
 MUTANTS = [
     # the round engine
@@ -178,6 +179,11 @@ MUTANTS = [
                 _psd_factor(""", """            if False:
                 _psd_factor(""",
      "a scenario accepts a covariance that is not symmetric PSD"),
+    (SCN, '            if ev.kind == "set_bandwidth" and ev.agents:\n',
+     "            if False:\n",
+     "a bandwidth event that names agents is accepted and ignores them"),
+    (CFG, "    if not isinstance(value, str):\n", "    if False:\n",
+     "a config or scenario name or event kind may be any JSON value"),
     # the package surface perfbench/child.py relies on
     (HARNESS, "from .simulate import run_single  # noqa: F401\n", "",
      "perfbench surface: harness.run_single gone"),

@@ -86,6 +86,14 @@ def boolean(value) -> bool:
     return value
 
 
+def text(value) -> str:
+    """A JSON string; refuses null, numbers and lists, which str() would
+    turn into "None" or a repr."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
 def dimension(value) -> int:
     """A matrix dimension: an integer >= 1."""
     n = integer(value)
@@ -216,7 +224,7 @@ class SystemConfig:
         mats = read_key(doc, "matrices", dict)
         det, run = read_key(doc, "detector", dict), read_key(doc, "run", dict)
         return cls(
-            name=read_key(doc, "name", str),
+            name=read_key(doc, "name", text),
             n_agents=read_key(doc, "n_agents", integer),
             bandwidth=read_key(doc, "bandwidth", integer),
             **{k: decode_matrix(read_key(mats, k, dict), f"matrices.{k}")

@@ -7,7 +7,8 @@ each artifact is a set of equal-length columns, written one formatted row
 at a time, and every cell is str of the Python value (bools as 0 and 1;
 str of a float is its repr, which parses back bit-exactly). A worker
 replays each run's detectors once for all agents. Aggregates are exact
-counts divided by the run count and can be recomputed from run records.
+counts divided by the run count, and every report field can be recomputed
+from run records.
 Every per-detector array ends in an axis of length 2 in the order of
 DETECTORS; the CSV column names stay the literal text of the file format.
 """
@@ -62,7 +63,6 @@ class AggregateReport:
     pre: np.ndarray             # (N, 2) interval false-positive/alarm rates
     post: np.ndarray
     delay: np.ndarray           # (runs, 2) detection delay, NaN if never
-    mean_err_sq: np.ndarray     # (T, N) Monte Carlo mean ||e_i(k)||^2
     band_agent: int             # agent id of the state band series
     band_component: int         # 1-based state index
     state_mean: np.ndarray      # (T,)
@@ -79,7 +79,7 @@ class AggregateReport:
 def _run_chunk(models, m, scale, rounds, seed, scenario, table, band,
                record_runs, chunk):
     """All a worker sends back, per run in run order: (alarms, states at the
-    0-based `band` pair, err_sq) and the RunRecord, None from record_runs on."""
+    0-based `band` pair) and the RunRecord, None from record_runs on."""
     out = []
     for run, trace in zip(chunk, run_lockstep(models, m, scale, rounds, seed,
                                               chunk, scenario=scenario)):
@@ -87,8 +87,7 @@ def _run_chunk(models, m, scale, rounds, seed, scenario, table, band,
         g, q = trace.gamma, trace.priorities
         alarms[..., SFD] = fd_static.sfd_verdicts(q, table.sfd_kappa, table.d)
         alarms[..., DFD] = fd_dynamic.dfd_verdicts(g, q, table)
-        summary = (alarms, trace.states[:, band[0], band[1]],
-                   np.einsum("kij,kij->ki", trace.errors, trace.errors))
+        summary = (alarms, trace.states[:, band[0], band[1]])
         record = (RunRecord(run, seed, trace.gamma, trace.priorities, alarms,
                             trace.states) if run < record_runs else None)
         out.append((summary, record))
@@ -98,8 +97,8 @@ def _run_chunk(models, m, scale, rounds, seed, scenario, table, band,
 class _Tally:
     """Alarm counts, state-band sums and detection delays, accumulated run
     by run in run order. run_batch and report_from_records both build their
-    report here, so a report recomputed from run records is bit-identical
-    to the in-process one, and both refuse the same requests."""
+    report here, so every field of a report recomputed from run records is
+    bit-identical to the in-process one, and both refuse the same requests."""
 
     def __init__(self, cfg: SystemConfig, scenario: Scenario, runs: int,
                  rounds: int, n_agents: int, n_components: int,
@@ -138,7 +137,7 @@ class _Tally:
             hit = after.any(axis=0)
             self.delay[run, hit] = after.argmax(axis=0)[hit]
 
-    def report(self, mean_err_sq: np.ndarray) -> AggregateReport:
+    def report(self) -> AggregateReport:
         cfg, runs = self.cfg, self.runs
         rounds, n_agents, _ = self.alarms.shape
         p = self.alarms / runs
@@ -148,9 +147,9 @@ class _Tally:
         return AggregateReport(
             runs=runs, rounds=rounds, n_agents=n_agents,
             monitored=self.monitored, k_event=self.k_event, p=p, pre=pre,
-            post=post, delay=self.delay, mean_err_sq=mean_err_sq,
-            band_agent=self.band_agent, band_component=self.band_component,
-            state_mean=mean_state, state_std=np.sqrt(var))
+            post=post, delay=self.delay, band_agent=self.band_agent,
+            band_component=self.band_component, state_mean=mean_state,
+            state_std=np.sqrt(var))
 
 
 def run_batch(cfg: SystemConfig, scenario: Scenario | None,
@@ -185,18 +184,16 @@ def run_batch(cfg: SystemConfig, scenario: Scenario | None,
     worker = partial(_run_chunk, models, cfg.bandwidth, cfg.require_scale(),
                      rounds, seed, scenario, table,
                      (band_agent - 1, band_component - 1), record_runs)
-    err_sq_sum = np.zeros((rounds, n_agents))
     records: list[RunRecord] = []
 
     results = map_chunks(worker, runs, rounds * n_agents, workers)
-    for run, ((alarms, band, err_sq), rec) in enumerate(
+    for run, ((alarms, band), rec) in enumerate(
             out for chunk in results for out in chunk):
         tally.add(run, alarms, band)
-        err_sq_sum += err_sq
         if rec is not None:
             records.append(rec)
 
-    return tally.report(err_sq_sum / runs), records
+    return tally.report(), records
 
 
 def _interval_rates(p: np.ndarray, warmup: int, k_event: int | None,
@@ -336,8 +333,8 @@ def emit_csv(report: AggregateReport, records: Sequence[RunRecord],
 def report_from_records(records: Sequence[RunRecord], cfg: SystemConfig,
                         scenario: Scenario, monitored: int,
                         band_agent: int, band_component: int = 3) -> AggregateReport:
-    """Recompute the record-derived aggregate fields from emitted records
-    (mean_err_sq is not part of run records and stays NaN)."""
+    """run_batch's report, recomputed from the records of all its runs
+    (record_runs = runs)."""
     rounds, n_agents, n_components = (records[0].states.shape if records
                                       else (0, 0, 0))
     tally = _Tally(cfg, scenario, len(records), rounds, n_agents,
@@ -345,4 +342,4 @@ def report_from_records(records: Sequence[RunRecord], cfg: SystemConfig,
     for run, rec in enumerate(records):
         tally.add(run, rec.alarms,
                   rec.states[:, band_agent - 1, band_component - 1])
-    return tally.report(np.full((rounds, n_agents), np.nan))
+    return tally.report()

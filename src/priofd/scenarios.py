@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import finite, integer, load_json, read_key
+from .config import finite, integer, load_json, read_key, text
 from .dynamics import _psd_factor
 from .errors import ConfigError
 
@@ -46,7 +46,7 @@ class Event:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Event":
-        kind = read_key(d, "kind", str)
+        kind = read_key(d, "kind", text)
         if kind not in ("set_B_zero", "set_bandwidth", "add_disturbance"):
             raise ConfigError(f"unknown scenario mutation {kind!r}")
         return cls(k=read_key(d, "k", integer), kind=kind,
@@ -78,13 +78,18 @@ class Scenario:
 
     def check_fits(self, rounds: int, n_agents: int, n: int) -> None:
         """Refuse events that a run of this length and fleet never applies,
-        plant events that name no agent, and events that cannot apply: a
+        plant events that name no agent, bandwidth events that name some
+        (M is one for the fleet), and events that cannot apply: a
         bandwidth below 1, a disturbance shorter than one round or with a
         covariance that is not n x n, symmetric and PSD."""
         for ev in self.events:
             if ev.kind != "set_bandwidth" and not ev.agents:
                 raise ConfigError(f"scenario {self.name!r}: {ev.kind} event "
                                   f"at k={ev.k} names no agent")
+            if ev.kind == "set_bandwidth" and ev.agents:
+                raise ConfigError(f"scenario {self.name!r}: set_bandwidth "
+                                  f"event at k={ev.k} names agents "
+                                  f"{ev.agents}; M is one for the fleet")
             if not (0 <= ev.k < rounds
                     and all(1 <= a <= n_agents for a in ev.agents)):
                 raise ConfigError(
@@ -106,7 +111,7 @@ class Scenario:
 
     @classmethod
     def load(cls, path: str | Path) -> "Scenario":
-        return load_json(path, lambda doc: cls(read_key(doc, "name", str), [
+        return load_json(path, lambda doc: cls(read_key(doc, "name", text), [
             Event.from_dict(e) for e in read_key(doc, "events", list)]))
 
 

@@ -3,9 +3,10 @@
 Each criterion test prints one "criterion NN PASS/FAIL" line with the
 measured values, and the last test a "finding PASS/FAIL" line on a known
 dFD blind spot. The Monte Carlo fixtures are module scoped and reused across
-criteria: one 2000-run calibration, one 2000-run held-out fault-free batch,
-and 2000-run batches of the two fault scenarios, all on the desk-scale
-fleet (6 cart-poles, two slots, 300 rounds, eta=0.01, d=10, b=40).
+criteria: one 2000-run calibration, one 2000-run held-out fault-free batch
+and the round engine's estimation errors over the same runs, and 2000-run
+batches of the two fault scenarios, all on the desk-scale fleet
+(6 cart-poles, two slots, 300 rounds, eta=0.01, d=10, b=40).
 """
 
 import time
@@ -22,7 +23,7 @@ from priofd.fd_static import StaticDetector
 from priofd.harness import DFD, SFD, emit_csv, run_batch
 from priofd.network import ScheduleHistory
 from priofd.scenarios import actuator_failure, bandwidth_loss
-from priofd.simulate import run_lockstep, run_single
+from priofd.simulate import chunks, run_lockstep, run_single
 
 from oracles import ExactToy, brute_partition
 
@@ -51,6 +52,19 @@ def heldout(desk_cfg, acc_table):
     report, _ = run_batch(desk_cfg, None, acc_table, runs=RUNS, seed=2000,
                           workers=WORKERS)
     return report
+
+
+@pytest.fixture(scope="module")
+def heldout_mean_err_sq(desk_cfg, desk_models):
+    """(T, N) Monte Carlo mean ||e_i(k)||^2 over the held-out runs (seed
+    2000), from the round engine's traces, summed run by run in run order."""
+    total = np.zeros((desk_cfg.rounds, desk_cfg.n_agents))
+    for chunk in chunks(RUNS, desk_cfg.rounds * desk_cfg.n_agents):
+        for trace in run_lockstep(desk_models, desk_cfg.bandwidth,
+                                  desk_cfg.quant_scale, desk_cfg.rounds,
+                                  seed=2000, runs=chunk):
+            total += np.einsum("kij,kij->ki", trace.errors, trace.errors)
+    return total / RUNS
 
 
 @pytest.fixture(scope="module")
@@ -186,12 +200,12 @@ def test_criterion_07_error_reset_bit_exact(traces100):
           f"{checked} received rounds, {mismatched} mismatches")
 
 
-def test_criterion_08_empirical_mean_square_boundedness(heldout):
-    mean_sq = heldout.mean_err_sq
+def test_criterion_08_empirical_mean_square_boundedness(heldout_mean_err_sq):
+    mean_sq = heldout_mean_err_sq
     ratios = mean_sq.max(axis=0) / mean_sq[50]
     check(8, "max-over-k Monte Carlo mean squared error within 10x its "
           "k=50 value for every agent", bool((ratios <= 10.0).all()),
-          f"worst agent ratio {ratios.max():.2f} over {heldout.runs} runs")
+          f"worst agent ratio {ratios.max():.2f} over {RUNS} runs")
 
 
 def test_criterion_09_determinism_and_serialization(tmp_path, desk_cfg,

@@ -181,12 +181,10 @@ def test_report_recomputable_from_records(desk_cfg, small_table, small_batch):
     again = report_from_records(records, desk_cfg, actuator_failure((2,), 100),
                                 monitored=report.monitored,
                                 band_agent=report.band_agent)
-    # mean_err_sq is not in run records: report_from_records leaves it NaN
     for field in dataclasses.fields(AggregateReport):
-        if field.name != "mean_err_sq":
-            assert np.array_equal(getattr(report, field.name),
-                                  getattr(again, field.name),
-                                  equal_nan=True), field.name
+        assert np.array_equal(getattr(report, field.name),
+                              getattr(again, field.name),
+                              equal_nan=True), field.name
 
 
 def test_emitted_files_deterministic(tmp_path, desk_cfg, small_table):
@@ -210,7 +208,7 @@ def test_chunk_records_only_runs_below_record_runs(desk_cfg, small_table):
                      range(1, 6))
     assert [None if rec is None else rec.run for _, rec in out] == [
         1, 2, None, None, None]
-    for (alarms, band, err_sq), rec in out[:2]:
+    for (alarms, band), rec in out[:2]:
         assert np.array_equal(alarms, rec.alarms)
         assert np.array_equal(band, rec.states[:, 1, 2])
         for i in range(desk_cfg.n_agents):
@@ -219,7 +217,6 @@ def test_chunk_records_only_runs_below_record_runs(desk_cfg, small_table):
                 q, small_table.sfd_kappa, small_table.d))
             assert np.array_equal(alarms[:, i, DFD], dfd_verdicts(
                 rec.gamma[:, i], q, small_table))
-    assert err_sq.shape == (desk_cfg.rounds, desk_cfg.n_agents)
 
 
 def test_workers_match_serial(tmp_path, desk_cfg, small_table):
@@ -527,6 +524,11 @@ class TestCli:
                      "matrices.B: key 'cols': ", id="B-negative-cols"),
         pytest.param(("allow_unstable",), "false", "key 'allow_unstable': ",
                      id="allow_unstable-string"),
+        # str() would hash and write "None" or "['desk']" as the name
+        pytest.param(("name",), None, "key 'name': expected a string",
+                     id="name-null"),
+        pytest.param(("name",), ["desk"], "key 'name': expected a string",
+                     id="name-list"),
     ])
     def test_config_field_of_wrong_type_is_refused(self, artifacts, tmp_path,
                                                    capsys, path, value, want):

@@ -194,6 +194,29 @@ def test_disturbance_leaves_other_noise_untouched(desk_cfg, desk_models):
     assert np.array_equal(base.noise, shaken.noise)
 
 
+def test_bandwidth_event_naming_agents_refused(desk_cfg, desk_models):
+    # M is shared by the fleet: the agents would be silently ignored
+    event = Event.from_dict({"k": 9, "kind": "set_bandwidth", "bandwidth": 1,
+                             "agents": [3]})
+    refused(desk_cfg, desk_models, Scenario("x", [event]),
+            r"set_bandwidth event at k=9 names agents \(3,\)")
+
+
+@pytest.mark.parametrize("name", [None, ["x"]])
+def test_scenario_name_must_be_a_string(tmp_path, name):
+    # str() would put "None" or "['x']" into the CSV provenance
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"name": name, "events": []}))
+    with pytest.raises(ConfigError, match="key 'name': expected a string"):
+        Scenario.load(path)
+
+
+@pytest.mark.parametrize("kind", [None, ["set_B_zero"]])
+def test_event_kind_must_be_a_string(kind):
+    with pytest.raises(ConfigError, match="key 'kind': expected a string"):
+        Event.from_dict({"k": 9, "kind": kind, "agents": [2]})
+
+
 def test_round_trip_and_presets(tmp_path):
     scn = actuator_failure((2, 3, 4, 5), 100)
     path = tmp_path / "scn.json"
